@@ -4,7 +4,6 @@ from .calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
-    classify_sign,
     fit_window,
     qualify,
     solve_linear,
@@ -57,7 +56,6 @@ __all__ = [
     "WindowError",
     "alarm_index",
     "cascade",
-    "classify_sign",
     "fit_window",
     "generate",
     "gordon_shapiro_price",

@@ -18,7 +18,8 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .errors import DomainError, FitError
-from .model import TWO_PI, LpplParams, lppl_basis
+# benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
+from .model import TWO_PI, LpplParams, lppl_basis  # noqa: F401
 from .timeseries import FitWindow, PriceSeries
 
 POSITIVE_BUBBLE = "positive_bubble"
@@ -115,32 +116,24 @@ def solve_linear(
     m: float,
     omega: float,
 ) -> tuple[float, float, float, float, float]:
-    """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse.
-
-    Rank-deficient systems return the minimum-norm solution.
-    """
+    """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse."""
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
-    tt = window.times(series)
-    y = window.log_prices(series)
-    X = lppl_basis(t_c, m, omega, tt)
-    beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    if not np.all(np.isfinite(beta)):
+    beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)
+    if not math.isfinite(sse):
         raise FitError(f"linear solve produced non-finite coefficients at t_c={t_c}")
-    resid = y - X @ beta
-    sse = float(resid @ resid)
     A, B, c1, c2 = (float(v) for v in beta)
     return A, B, c1, c2, sse
 
 
-def _fast_sse(tt: np.ndarray, y: np.ndarray, t_c: float, m: float, omega: float) -> float:
-    """Profiled inner objective: sse of the linear subproblem via normal equations."""
-    return _sse_given_dt(t_c - tt, y, m, omega)
+def _linear_fit(dt: np.ndarray, y: np.ndarray, m: float, omega: float) -> tuple[np.ndarray, float]:
+    """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0, and its sse.
 
-
-def _sse_given_dt(dt: np.ndarray, y: np.ndarray, m: float, omega: float) -> float:
-    if dt[-1] <= 0:
-        return math.inf
+    The one linear solve of calibration: the search objective, the final
+    parameters and solve_linear all go through it. Normal equations, with a
+    minimum-norm lstsq fallback when they are singular; the sse is computed
+    from the residuals and is inf when the solve is not finite.
+    """
     ldt = np.log(dt)
     pw = np.exp(m * ldt)
     angle = omega * ldt
@@ -156,14 +149,10 @@ def _sse_given_dt(dt: np.ndarray, y: np.ndarray, m: float, omega: float) -> floa
     except np.linalg.LinAlgError:
         beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     if not np.all(np.isfinite(beta)):
-        return math.inf
+        return beta, math.inf
     resid = y - X @ beta
     sse = float(resid @ resid)
-    return sse if math.isfinite(sse) else math.inf
-
-
-def classify_sign(fit: FitResult) -> str:
-    return sign_of(fit.params.B)
+    return beta, sse if math.isfinite(sse) else math.inf
 
 
 def sign_of(B: float) -> str:
@@ -231,7 +220,7 @@ def fit_window(
 
     def objective(z):
         u, m, omega = z
-        return _sse_given_dt(u * tc_span + rev, y, m, omega) / scale
+        return _linear_fit(u * tc_span + rev, y, m, omega)[1] / scale
 
     sampler = qmc.LatinHypercube(d=3, seed=int(seed))
     starts = lo + sampler.random(config.n_starts) * (hi - lo)
@@ -272,10 +261,10 @@ def fit_window(
     if math.isfinite(polish.fun) and polish.fun * scale <= best_sse:
         best_z = polish.x
 
-    u, m, omega = best_z
-    t_c = t2 + float(u) * tc_span
-    A, B, c1, c2, sse = solve_linear(series, window, t_c, float(m), float(omega))
-    params = LpplParams.from_linear(t_c, float(m), float(omega), A, B, c1, c2)
+    u, m, omega = (float(v) for v in best_z)
+    beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)
+    A, B, c1, c2 = (float(v) for v in beta)
+    params = LpplParams.from_linear(t2 + u * tc_span, m, omega, A, B, c1, c2)
     line = np.polynomial.polynomial.polyfit(tt - tt[0], y, 1)
     line_resid = y - np.polynomial.polynomial.polyval(tt - tt[0], line)
     fit = FitResult(

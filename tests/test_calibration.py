@@ -8,7 +8,6 @@ from lpplscan.calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
-    classify_sign,
     fit_window,
     oscillation_count,
     qualify,
@@ -143,7 +142,7 @@ class TestClassifySign:
     )
     def test_sign(self, B, expected):
         p = LpplParams(t_c=120.0, m=0.5, omega=8.0, phi=0.0, A=5.0, B=B, C=0.1)
-        assert classify_sign(make_fit(p)) == expected
+        assert sign_of(make_fit(p).params.B) == expected
 
 
 class TestFitWindow:
