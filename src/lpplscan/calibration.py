@@ -64,6 +64,10 @@ class SearchConfig:
     max_iter: int = 400
     rel_tol: float = 1e-8  # convergence tolerance on relative sse
 
+    def __post_init__(self):
+        if self.n_starts < 1 or self.max_iter < 1:
+            raise DomainError("n_starts and max_iter must be >= 1")
+
 
 @dataclass(frozen=True)
 class Verdict:

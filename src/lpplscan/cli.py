@@ -7,7 +7,9 @@ stderr as one JSON object so scripts can parse them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,11 +34,38 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(",")]
+    parts = _floats(text)
     if len(parts) != 2:
         raise UsageError(f"expected two comma-separated numbers, got {text!r}")
-    return parts[0], parts[1]
+    return parts
+
+
+# how a config value is read, by the annotation of the config field it sets
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda text: None if text.lower() == "none" else float(text),
+    "tuple[float, float]": _parse_pair,
+    "tuple[float, ...]": _floats,
+}
+# every key --config and --filters accept, with its parser: the fields of the
+# three configs except the two configs nested in ScanConfig
+_KEYS = {
+    f.name: _PARSERS[f.type]
+    for cls in (calibration.FilterConfig, calibration.SearchConfig, scanner.ScanConfig)
+    for f in dataclasses.fields(cls)
+    if f.type in _PARSERS
+}
+# dedicated flags and the key each sets; a given flag beats --config and --filters
+_FLAG_KEYS = {"seed": "seed", "jobs": "n_jobs", "windows": "window_lengths", "every": "end_every", "band": "band"}
 
 
 class UsageError(Exception):
@@ -44,41 +73,31 @@ class UsageError(Exception):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """key = value lines, # comments; same keys as the scan/filter flags."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"bad config line: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    """key = value lines, # comments; the same keys as --filters."""
+    lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
+    return _parse_kv([line for line in lines if line])
 
 
-def _build_filters(kv: dict[str, str]) -> calibration.FilterConfig:
-    kwargs = {}
-    if "m_range" in kv:
-        kwargs["m_range"] = _parse_pair(kv["m_range"])
-    if "omega_range" in kv:
-        kwargs["omega_range"] = _parse_pair(kv["omega_range"])
-    if "tc_horizon" in kv:
-        kwargs["tc_horizon"] = float(kv["tc_horizon"])
-    if "max_rmse" in kv:
-        kwargs["max_rmse"] = float(kv["max_rmse"])
-    if "min_oscillations" in kv:
-        kwargs["min_oscillations"] = float(kv["min_oscillations"])
-    return calibration.FilterConfig(**kwargs)
+def _scan_config(args) -> scanner.ScanConfig:
+    """The config of --config, overlaid by --filters, overlaid by the dedicated flags."""
+    raw = dict(args.config_kv)
+    raw.update(_parse_kv(args.filters))
+    flags = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
+    raw.update({key: text for key, text in flags.items() if text is not None})
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    values = {"seed": DEFAULT_SEED}
+    for key, text in raw.items():
+        try:
+            values[key] = _KEYS[key](text)
+        except ValueError:
+            raise UsageError(f"bad value for {key}: {text!r}") from None
 
+    def build(cls, **nested):
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}, **nested)
 
-def _build_search(kv: dict[str, str]) -> calibration.SearchConfig:
-    kwargs = {}
-    if "n_starts" in kv:
-        kwargs["n_starts"] = int(kv["n_starts"])
-    if "max_iter" in kv:
-        kwargs["max_iter"] = int(kv["max_iter"])
-    return calibration.SearchConfig(**kwargs)
+    return build(scanner.ScanConfig, search=build(calibration.SearchConfig), filters=build(calibration.FilterConfig))
 
 
 def _load_series(path: str, date_column: str, price_column: str):
@@ -101,12 +120,9 @@ def cmd_fit(args) -> int:
     series = _load_series(args.input, args.date_column, args.price_column)
     t1 = timeseries.parse_time(args.t1)
     t2 = timeseries.parse_time(args.t2)
-    kv = dict(args.config_kv)
-    kv.update(_parse_kv(args.filters))
-    window = timeseries.slice_window(series, t1, t2, min_points=int(kv.get("min_points", 30)))
-    fit = calibration.fit_window(
-        series, window, _build_search(kv), _build_filters(kv), seed=args.seed
-    )
+    config = _scan_config(args)
+    window = timeseries.slice_window(series, t1, t2, min_points=config.min_points)
+    fit = calibration.fit_window(series, window, config.search, config.filters, seed=config.seed)
     text = json.dumps(fit.to_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -117,29 +133,7 @@ def cmd_fit(args) -> int:
 
 def cmd_scan(args) -> int:
     series = _load_series(args.input, args.date_column, args.price_column)
-    kv = dict(args.config_kv)
-    kv.update(_parse_kv(args.filters))
-    config_kwargs = dict(
-        search=_build_search(kv),
-        filters=_build_filters(kv),
-        seed=args.seed,
-        n_jobs=args.jobs,
-    )
-    if args.windows:
-        config_kwargs["window_lengths"] = tuple(float(w) for w in args.windows.split(","))
-    elif "window_lengths" in kv:
-        config_kwargs["window_lengths"] = tuple(
-            float(w) for w in kv["window_lengths"].split(",")
-        )
-    if args.every is not None:
-        config_kwargs["end_every"] = args.every
-    elif "end_every" in kv:
-        config_kwargs["end_every"] = int(kv["end_every"])
-    if args.band:
-        config_kwargs["band"] = _parse_pair(args.band)
-    if "min_points" in kv:
-        config_kwargs["min_points"] = int(kv["min_points"])
-    config = scanner.ScanConfig(**config_kwargs)
+    config = _scan_config(args)
 
     rep = scanner.report(series, config)
     out = Path(args.out)
@@ -195,7 +189,7 @@ def _synth_regime(kind: str, params: dict[str, str]):
 
 def cmd_synth(args) -> int:
     params = _parse_kv(args.params)
-    grid = [float(g) for g in args.grid.split(",")]
+    grid = _floats(args.grid)
     if len(grid) != 3:
         raise UsageError("--grid expects t_start,t_end,step")
     spec = synth.SynthSpec(
@@ -226,12 +220,11 @@ def cmd_price(args) -> int:
 
 def cmd_cascade(args) -> int:
     rows = model.cascade(args.p0, args.rate, args.steps)
-    writer = csv.writer(
-        open(args.out, "w", newline="") if args.out else sys.stdout, lineterminator="\n"
-    )
-    writer.writerow(["time", "population", "rate", "doubling_time"])
-    for row in rows:
-        writer.writerow([_fmt(row.time), _fmt(row.population), _fmt(row.rate), _fmt(row.doubling_time)])
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["time", "population", "rate", "doubling_time"])
+        for row in rows:
+            writer.writerow([_fmt(row.time), _fmt(row.population), _fmt(row.rate), _fmt(row.doubling_time)])
     return 0
 
 
@@ -247,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--date-column", default="date")
         p.add_argument("--price-column", default="price")
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", help=f"base seed (default {DEFAULT_SEED})")
         p.add_argument(
             "--filters",
             nargs="*",
             default=[],
             metavar="K=V",
-            help="filter/search overrides, e.g. tc_horizon=0.5 n_starts=10",
+            help="config overrides, e.g. tc_horizon=0.5 n_starts=10; unknown keys are an error",
         )
 
     p_fit = sub.add_parser("fit", help="calibrate one window")
@@ -266,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="rolling ensemble scan")
     add_io(p_scan)
     p_scan.add_argument("--windows", help="comma-separated window lengths in days")
-    p_scan.add_argument("--every", type=int, help="evaluate every k-th observation")
+    p_scan.add_argument("--every", help="evaluate every k-th observation")
     p_scan.add_argument("--band", help="quantile band, e.g. 0.1,0.9")
-    p_scan.add_argument("--jobs", type=int, default=1, help="max concurrent fits")
+    p_scan.add_argument("--jobs", help="max concurrent fits (default 1)")
     p_scan.add_argument("--out", default=".", help="output directory")
     p_scan.set_defaults(func=cmd_scan)
 

@@ -134,17 +134,20 @@ def cascade(p0: float, r0: float, n: int) -> list[CascadeState]:
     Row k holds population p0*2^k growing at rate r0*2^k, reached at the sum
     of the preceding doubling times.
     """
-    if p0 <= 0 or r0 <= 0:
-        raise DomainError("population and rate must be positive")
+    if not (0 < p0 < math.inf and 0 < r0 < math.inf):
+        raise DomainError("population and rate must be positive and finite")
     if n < 1:
         raise DomainError("need at least one cascade step")
     rows = []
     t = 0.0
     for k in range(n):
-        rate = r0 * 2**k
+        try:
+            rate, population = math.ldexp(r0, k), math.ldexp(p0, k)
+        except OverflowError:
+            raise DomainError(f"cascade step {k} overflows double precision") from None
         dt = math.log(2.0) / rate
         rows.append(
-            CascadeState(time=t, population=p0 * 2**k, rate=rate, doubling_time=dt)
+            CascadeState(time=t, population=population, rate=rate, doubling_time=dt)
         )
         t += dt
     return rows

@@ -49,6 +49,8 @@ class ScanConfig:
             raise DomainError("window lengths must be nonempty and positive")
         if self.end_every < 1:
             raise DomainError("end_every must be >= 1")
+        if self.n_jobs < 1:
+            raise DomainError("n_jobs must be >= 1")
         if not 0 < self.band[0] < 0.5 < self.band[1] < 1:
             raise DomainError("band must satisfy 0 < low < 0.5 < high < 1")
 
@@ -239,9 +241,11 @@ def tc_distribution(
 def report(series: PriceSeries, config: ScanConfig = ScanConfig()) -> AlarmReport:
     """Full scan plus per-date aggregation into one serializable report."""
     result = scan(series, config)
+    by_date = {date: [] for date in result.end_dates}
+    for f in result.fits:
+        by_date[f.window.t2].append(f)
     records = []
-    for date in result.end_dates:
-        fits = _fits_at(result.fits, date)
+    for date, fits in by_date.items():
         qualified = [f for f in fits if f.qualified]
         pos = sum(f.sign == "positive_bubble" for f in qualified)
         neg = sum(f.sign == "negative_bubble" for f in qualified)
@@ -254,14 +258,14 @@ def report(series: PriceSeries, config: ScanConfig = ScanConfig()) -> AlarmRepor
         records.append(
             DateRecord(
                 date=date,
-                alarm=alarm_index(result.fits, date),
+                alarm=alarm_index(fits, date),
                 qualified_count=len(qualified),
                 total_count=len(fits),
                 positive_count=pos,
                 negative_count=neg,
                 sign=sign,
                 tc_samples=tuple(f.params.t_c for f in qualified),
-                tc_band=tc_distribution(result.fits, date, config.band),
+                tc_band=tc_distribution(fits, date, config.band),
             )
         )
     return AlarmReport(

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -26,19 +26,15 @@ def parse_time(text: str) -> float:
     """Parse a timestamp cell: ISO-8601 date or raw real number of days."""
     text = text.strip()
     try:
-        return float(text)
+        t = float(text)
     except ValueError:
-        pass
-    try:
-        return float((date.fromisoformat(text) - EPOCH).days)
-    except ValueError:
-        raise CsvFormatError(f"unparseable timestamp: {text!r}") from None
-
-
-def format_time(t: float, *, as_date: bool = False) -> str:
-    if as_date and float(t).is_integer():
-        return (EPOCH + timedelta(days=int(t))).isoformat()
-    return format(t, ".12g")
+        try:
+            return float((date.fromisoformat(text) - EPOCH).days)
+        except ValueError:
+            raise CsvFormatError(f"unparseable timestamp: {text!r}") from None
+    if not math.isfinite(t):
+        raise CsvFormatError(f"non-finite timestamp: {text!r}")
+    return t
 
 
 @dataclass(frozen=True)

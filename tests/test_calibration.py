@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpplscan.calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
+    _linear_fit,
     fit_window,
     oscillation_count,
     qualify,
@@ -88,6 +91,35 @@ class TestSolveLinear:
         w = full_window(s)
         with pytest.raises(DomainError):
             solve_linear(s, w, w.t2, 0.5, 6.0)
+
+
+class TestLinearFit:
+    # the whole search box of the default filters, on a random walk with a
+    # cycle; the explicit examples are its worst-conditioned corner, where
+    # cond(X^T X) is about 1.8e8 at n=30
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([30, 200, 750]),
+        u=st.floats(1e-6, 1.0),
+        m=st.floats(0.01, 0.99),
+        omega=st.floats(2.0, 15.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=30, u=1.0, m=0.01, omega=2.0, seed=0)
+    @example(n=200, u=1.0, m=0.01, omega=2.0, seed=0)
+    @example(n=750, u=1.0, m=0.01, omega=2.0, seed=0)
+    def test_matches_lstsq_over_the_search_box(self, n, u, m, omega, seed):
+        rng = np.random.default_rng(seed)
+        tt = np.arange(float(n))
+        y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
+        t2, tc_span = tt[-1], 0.5 * (n - 1)
+        beta, sse = _linear_fit(u * tc_span + (t2 - tt), y, m, omega)
+        X = lppl_basis(t2 + u * tc_span, m, omega, tt)
+        ref, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+        resid = y - X @ ref
+        assert sse == pytest.approx(float(resid @ resid), rel=1e-10)
+        # normal equations lose up to cond(X^T X) * eps * |y|, about 1.6e-7 here
+        np.testing.assert_allclose(X @ beta, X @ ref, rtol=0, atol=1e-7)
 
 
 class TestQualify:
@@ -267,12 +299,9 @@ class TestEquivariance:
         shifted = fit_window(
             shifted_series, full_window(shifted_series), FAST, seed=9
         )
-        # the search runs in window-relative time, so the optimization path is
-        # bit-identical; only the final absolute t_c rounds at its own ulp
+        # the search and the final linear solve run in window-relative time,
+        # so the fit is bit-identical; only the absolute t_c rounds at its own ulp
         assert shifted.params.t_c - delta == pytest.approx(base.params.t_c, abs=1e-9)
-        assert shifted.params.m == base.params.m
-        assert shifted.params.omega == base.params.omega
-        for attr in ("phi", "A", "B", "C"):
-            assert getattr(shifted.params, attr) == pytest.approx(
-                getattr(base.params, attr), abs=1e-9
-            )
+        for attr in ("m", "omega", "phi", "A", "B", "C"):
+            assert getattr(shifted.params, attr) == getattr(base.params, attr), attr
+        assert shifted.sse == base.sse

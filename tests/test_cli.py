@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from lpplscan import calibration, cli, scanner
 from lpplscan.cli import main
 
 
@@ -10,6 +12,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_json_object(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
 
 
 @pytest.fixture
@@ -68,6 +76,16 @@ class TestCascade:
         )
         assert code == 0
         assert out_file.read_text().startswith("time,population")
+
+    def test_overflow_is_domain_error(self, tmp_path, capsys):
+        out_file = tmp_path / "cascade.csv"
+        code, _, err = run(
+            capsys, "cascade", "--p0", "2", "--rate", "0.02", "--steps", "2000",
+            "--out", str(out_file),
+        )
+        assert code == 1
+        assert one_json_object(err)["error"]["type"] == "DomainError"
+        assert not out_file.exists()
 
 
 class TestSynth:
@@ -133,6 +151,19 @@ class TestFit:
         assert code == 1
         assert "fewer than" in json.loads(err)["error"]["message"]
 
+    def test_non_finite_timestamp_row_is_rejected(self, bubble_csv, capsys):
+        with open(bubble_csv, "a") as fh:
+            fh.write("inf,5,1.6\n")
+        code, _, err = run(
+            capsys,
+            "fit", "--input", str(bubble_csv), "--date-column", "time",
+            "--t1", "0", "--t2", "139", "--filters", "n_starts=2",
+        )
+        assert code == 0
+        warning = one_json_object(err)
+        assert warning["warning"] == "row rejected"
+        assert "non-finite" in warning["reason"]
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(
             capsys, "fit", "--input", "/nonexistent.csv", "--t1", "0", "--t2", "100"
@@ -190,6 +221,79 @@ class TestScan:
             capsys, "scan", "--input", str(bubble_csv), "--config", str(cfg)
         )
         assert code == 2
+
+
+class TestConfig:
+    def scan(self, capsys, csv_path, tmp_path, *extra):
+        return run(
+            capsys,
+            "scan", "--input", str(csv_path), "--date-column", "time",
+            "--windows", "60", "--every", "200", "--filters", "n_starts=2",
+            "--out", str(tmp_path / "rep"), *extra,
+        )
+
+    def test_every_config_field_is_a_key(self):
+        fields = {
+            f.name
+            for cls in (calibration.FilterConfig, calibration.SearchConfig, scanner.ScanConfig)
+            for f in dataclasses.fields(cls)
+        }
+        assert set(cli._KEYS) == fields - {"search", "filters"}
+
+    def test_unknown_filter_keys_are_usage_errors(self, bubble_csv, tmp_path, capsys):
+        code, _, err = self.scan(
+            capsys, bubble_csv, tmp_path, "--filters", "n_start=2", "min_line_gain=0.9", "bogus=1"
+        )
+        assert code == 2
+        message = one_json_object(err)["error"]["message"]
+        assert "bogus" in message and "n_start" in message
+
+    def test_unknown_config_file_key_is_usage_error(self, bubble_csv, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("n_start = 2\n")
+        code, _, err = self.scan(capsys, bubble_csv, tmp_path, "--config", str(cfg))
+        assert code == 2
+        assert one_json_object(err)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--filters", "n_starts=abc"],
+            ["--windows", "60,x"],
+            ["--band", "0.1"],
+            ["--seed", "x"],
+            ["--filters", "m_range=0.1,y"],
+        ],
+    )
+    def test_unparseable_value_is_usage_error(self, bubble_csv, tmp_path, capsys, extra):
+        code, _, err = self.scan(capsys, bubble_csv, tmp_path, *extra)
+        assert code == 2
+        assert one_json_object(err)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "extra", [["--filters", "n_starts=0"], ["--filters", "max_iter=0"], ["--jobs", "0"]]
+    )
+    def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):
+        code, _, err = self.scan(capsys, bubble_csv, tmp_path, *extra)
+        assert code == 1
+        assert one_json_object(err)["error"]["type"] == "DomainError"
+
+    def test_min_line_gain_reaches_the_filters(self, bubble_csv, capsys):
+        args = ["fit", "--input", str(bubble_csv), "--date-column", "time",
+                "--t1", "0", "--t2", "139", "--filters", "n_starts=2"]
+        _, out, _ = run(capsys, *args)
+        assert "beats_trend_line" in json.loads(out)["filters"]
+        _, out, _ = run(capsys, *args, "min_line_gain=none")
+        assert "beats_trend_line" not in json.loads(out)["filters"]
+
+    def test_flags_beat_config_file(self, bubble_csv, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("window_lengths = 60,90\nend_every = 60\n")
+        code, out, _ = self.scan(capsys, bubble_csv, tmp_path, "--config", str(cfg), "--every", "100")
+        assert code == 0
+        rep = json.loads(Path(json.loads(out)["report_json"]).read_text())
+        assert [d["date"] for d in rep["dates"]] == [39.0, 139.0]
+        assert rep["n_fits"] == 1  # one 60-day window: --windows beats the file too
 
 
 class TestUsage:

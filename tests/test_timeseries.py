@@ -125,6 +125,11 @@ class TestParseTime:
         with pytest.raises(CsvFormatError):
             parse_time("not-a-date")
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite(self, text):
+        with pytest.raises(CsvFormatError):
+            parse_time(text)
+
 
 class TestSliceWindow:
     def test_full_range_is_whole_series(self):
