@@ -175,7 +175,7 @@ def qualify(fit: FitResult, filters: FilterConfig) -> Verdict:
     checks["m_in_range"] = filters.m_range[0] < p.m < filters.m_range[1]
     checks["omega_in_range"] = filters.omega_range[0] < p.omega < filters.omega_range[1]
     horizon = filters.tc_horizon * w.length
-    checks["tc_within_horizon"] = w.t2 < p.t_c <= w.t2 + horizon
+    checks["tc_within_horizon"] = w.t2 < p.t_c < w.t2 + horizon
     if p.t_c > w.t2:
         n_osc = oscillation_count(p.omega, p.t_c, w.t1, w.t2)
     else:

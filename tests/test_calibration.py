@@ -153,6 +153,14 @@ class TestQualify:
         v = qualify(make_fit(p), FilterConfig())
         assert "tc_within_horizon" in v.failures
 
+    def test_tc_pinned_at_the_search_bound(self):
+        # t_c = t2 + tc_horizon * length is the upper end of the t_c search
+        p = LpplParams(t_c=150.0, m=0.5, omega=12.0, phi=0.0, A=5.0, B=-1.0, C=0.1)
+        v = qualify(make_fit(p), FilterConfig(tc_horizon=0.5))
+        assert v.failures == ("tc_within_horizon",)
+        inside = replace(p, t_c=150.0 - 1e-9)
+        assert qualify(make_fit(inside), FilterConfig(tc_horizon=0.5)).checks["tc_within_horizon"]
+
     def test_max_rmse_optional(self):
         p = LpplParams(t_c=120.0, m=0.5, omega=8.0, phi=0.0, A=5.0, B=-1.0, C=0.1)
         v = qualify(make_fit(p, rmse=0.5), FilterConfig(max_rmse=0.1))
