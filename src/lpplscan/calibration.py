@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import DomainError, FitError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
@@ -67,13 +66,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iter < 1:
             raise DomainError("n_starts and max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    qualified: bool
-    failures: tuple[str, ...]
-    checks: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,16 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m: float, omega: float) -> tuple[
     return beta, sse if math.isfinite(sse) else math.inf
 
 
+def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """n points in [0, 1)^d, one in each of n strata per axis: scipy's qmc.LatinHypercube(d, seed=seed).random(n)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - u) / n
+
+
 def sign_of(B: float) -> str:
     if B < 0:
         return POSITIVE_BUBBLE
@@ -167,8 +169,8 @@ def sign_of(B: float) -> str:
     return NO_SIGN
 
 
-def qualify(fit: FitResult, filters: FilterConfig) -> Verdict:
-    """Apply every filter; the verdict lists each failed condition."""
+def qualify(fit: FitResult, filters: FilterConfig) -> FitResult:
+    """The fit judged by every filter: qualified, the failed conditions and each check's outcome."""
     p = fit.params
     w = fit.window
     checks: dict[str, bool] = {}
@@ -186,7 +188,7 @@ def qualify(fit: FitResult, filters: FilterConfig) -> Verdict:
     if filters.min_line_gain is not None and fit.sse_line is not None:
         checks["beats_trend_line"] = fit.sse <= (1.0 - filters.min_line_gain) * fit.sse_line
     failures = tuple(name for name, ok in checks.items() if not ok)
-    return Verdict(qualified=not failures, failures=failures, checks=checks)
+    return replace(fit, qualified=not failures, failures=failures, checks=checks)
 
 
 def fit_window(
@@ -226,24 +228,16 @@ def fit_window(
         u, m, omega = z
         return _linear_fit(u * tc_span + rev, y, m, omega)[1] / scale
 
-    sampler = qmc.LatinHypercube(d=3, seed=int(seed))
-    starts = lo + sampler.random(config.n_starts) * (hi - lo)
+    def descend(z0, fatol, xatol):
+        options = {"maxiter": config.max_iter, "fatol": fatol, "xatol": xatol}
+        return minimize(objective, z0, method="Nelder-Mead", bounds=bounds, options=options)
 
+    starts = lo + _latin_hypercube(config.n_starts, 3, int(seed)) * (hi - lo)
     best_sse = math.inf
     best_z = None
     diagnostics = []
     for idx, z0 in enumerate(starts):
-        res = minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.rel_tol,
-                "xatol": 1e-7,
-            },
-        )
+        res = descend(z0, config.rel_tol, 1e-7)
         sse = res.fun * scale
         diagnostics.append({"start": idx, "sse": sse, "converged": bool(res.success)})
         if math.isfinite(sse) and sse < best_sse:
@@ -255,13 +249,7 @@ def fit_window(
 
     # tight polish of the winning start; shrinks stopping scatter so that
     # equivalent inputs (scaled prices, shifted times) land on the same point
-    polish = minimize(
-        objective,
-        best_z,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxiter": config.max_iter, "fatol": 1e-14, "xatol": 1e-10},
-    )
+    polish = descend(best_z, 1e-14, 1e-10)
     if math.isfinite(polish.fun) and polish.fun * scale <= best_sse:
         best_z = polish.x
 
@@ -281,10 +269,4 @@ def fit_window(
         sign=sign_of(B),
         sse_line=float(line_resid @ line_resid),
     )
-    verdict = qualify(fit, filters)
-    return replace(
-        fit,
-        qualified=verdict.qualified,
-        failures=verdict.failures,
-        checks=verdict.checks,
-    )
+    return qualify(fit, filters)

@@ -1,6 +1,6 @@
 """Command-line front end: fit, scan, synth, price, cascade.
 
-Exit codes: 0 success, 1 domain error, 2 usage error. Domain errors go to
+Exit codes: 0 success, 1 domain error, 2 usage error. Every error goes to
 stderr as one JSON object so scripts can parse them.
 """
 
@@ -13,6 +13,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import calibration, model, scanner, synth, timeseries
 from .errors import DomainError
@@ -72,10 +74,35 @@ class UsageError(Exception):
     pass
 
 
+def _error_line(kind: str, message: str) -> str:
+    return json.dumps({"error": {"type": kind, "message": message}}) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one JSON error line, like every other error, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, _error_line("usage", message))
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines, # comments; the same keys as --filters."""
     lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
     return _parse_kv([line for line in lines if line])
+
+
+def _parse_values(raw: dict[str, str], parsers: dict) -> dict:
+    """Each KEY=VALUE text read by the parser of its key; an unknown key or a bad value is a usage error."""
+    unknown = sorted(set(raw) - set(parsers))
+    if unknown:
+        raise UsageError(f"unknown key(s): {', '.join(unknown)}")
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = parsers[key](text)
+        except ValueError:
+            raise UsageError(f"bad value for {key}: {text!r}") from None
+    return values
 
 
 def _scan_config(args) -> scanner.ScanConfig:
@@ -84,15 +111,7 @@ def _scan_config(args) -> scanner.ScanConfig:
     raw.update(_parse_kv(args.filters))
     flags = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
     raw.update({key: text for key, text in flags.items() if text is not None})
-    unknown = sorted(set(raw) - set(_KEYS))
-    if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    values = {"seed": DEFAULT_SEED}
-    for key, text in raw.items():
-        try:
-            values[key] = _KEYS[key](text)
-        except ValueError:
-            raise UsageError(f"bad value for {key}: {text!r}") from None
+    values = {"seed": DEFAULT_SEED, **_parse_values(raw, _KEYS)}
 
     def build(cls, **nested):
         return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}, **nested)
@@ -156,44 +175,30 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _synth_regime(kind: str, params: dict[str, str]):
-    p = {k: float(v) for k, v in params.items()}
-    if kind == "lppl":
-        return model.LpplParams(
-            t_c=p["t_c"],
-            m=p.get("m", 0.5),
-            omega=p.get("omega", 6.28),
-            phi=p.get("phi", 0.0),
-            A=p.get("A", 5.0),
-            B=p.get("B", -1.0),
-            C=p.get("C", 0.05),
-        )
-    if kind == "exp":
-        return model.GrowthSpec(kind="exponential", rate=p.get("rate", 0.001), p0=p.get("p0", 1.0))
-    if kind == "logistic":
-        return model.GrowthSpec(
-            kind="logistic",
-            rate=p.get("rate", 0.01),
-            p0=p.get("p0", 1.0),
-            capacity=p.get("capacity", 100.0),
-        )
-    if kind == "hyperbolic":
-        return model.GrowthSpec(
-            kind="hyperbolic",
-            t_c=p.get("t_c", 100.0),
-            alpha=p.get("alpha", 1.0),
-            scale=p.get("scale", 1.0),
-        )
-    raise UsageError(f"unknown regime {kind!r}")
+# regime -> (class, fixed fields, --params keys with their defaults); None marks a required key
+_REGIMES = {
+    "lppl": (model.LpplParams, {}, {"t_c": None, "m": 0.5, "omega": 6.28, "phi": 0.0, "A": 5.0, "B": -1.0, "C": 0.05}),
+    "exp": (model.GrowthSpec, {"kind": "exponential"}, {"rate": 0.001, "p0": 1.0}),
+    "logistic": (model.GrowthSpec, {"kind": "logistic"}, {"rate": 0.01, "p0": 1.0, "capacity": 100.0}),
+    "hyperbolic": (model.GrowthSpec, {"kind": "hyperbolic"}, {"t_c": 100.0, "alpha": 1.0, "scale": 1.0}),
+}
+
+
+def _synth_regime(kind: str, pairs: list[str]):
+    cls, fixed, defaults = _REGIMES[kind]
+    values = {**defaults, **_parse_values(_parse_kv(pairs), dict.fromkeys(defaults, float))}
+    missing = [key for key, value in values.items() if value is None]
+    if missing:
+        raise UsageError(f"--regime {kind} requires --params {', '.join(missing)}")
+    return cls(**fixed, **values)
 
 
 def cmd_synth(args) -> int:
-    params = _parse_kv(args.params)
     grid = _floats(args.grid)
     if len(grid) != 3:
         raise UsageError("--grid expects t_start,t_end,step")
     spec = synth.SynthSpec(
-        regime=_synth_regime(args.regime, params),
+        regime=_synth_regime(args.regime, args.params),
         t_start=grid[0],
         t_end=grid[1],
         step=grid[2],
@@ -229,7 +234,7 @@ def cmd_cascade(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpplscan",
         description="Bubble diagnostics via log-periodic power law calibration.",
     )
@@ -266,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic series")
-    p_synth.add_argument(
-        "--regime", required=True, choices=["lppl", "exp", "logistic", "hyperbolic"]
-    )
+    p_synth.add_argument("--regime", required=True, choices=list(_REGIMES))
     p_synth.add_argument("--params", nargs="*", default=[], metavar="K=V")
     p_synth.add_argument("--grid", default="0,199,1", help="t_start,t_end,step")
     p_synth.add_argument("--noise", type=float, default=0.0)
@@ -300,18 +303,17 @@ def main(argv=None) -> int:
             args.config_kv = _read_config_file(args.config)
         else:
             args.config_kv = {}
-        return args.func(args)
+        # non-finite values end in a DomainError; numpy's warnings would be non-JSON stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
-        print(json.dumps({"error": {"type": "usage", "message": str(exc)}}), file=sys.stderr)
+        sys.stderr.write(_error_line("usage", str(exc)))
         return 2
     except OSError as exc:
-        print(json.dumps({"error": {"type": "io", "message": str(exc)}}), file=sys.stderr)
+        sys.stderr.write(_error_line("io", str(exc)))
         return 2
     except DomainError as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+        sys.stderr.write(_error_line(type(exc).__name__, str(exc)))
         return 1
 
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
+    NEGATIVE_BUBBLE,
     NO_SIGN,
+    POSITIVE_BUBBLE,
     FilterConfig,
     FitResult,
     SearchConfig,
@@ -51,6 +53,8 @@ class ScanConfig:
             raise DomainError("end_every must be >= 1")
         if self.n_jobs < 1:
             raise DomainError("n_jobs must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not 0 < self.band[0] < 0.5 < self.band[1] < 1:
             raise DomainError("band must satisfy 0 < low < 0.5 < high < 1")
 
@@ -247,12 +251,12 @@ def report(series: PriceSeries, config: ScanConfig = ScanConfig()) -> AlarmRepor
     records = []
     for date, fits in by_date.items():
         qualified = [f for f in fits if f.qualified]
-        pos = sum(f.sign == "positive_bubble" for f in qualified)
-        neg = sum(f.sign == "negative_bubble" for f in qualified)
+        pos = sum(f.sign == POSITIVE_BUBBLE for f in qualified)
+        neg = sum(f.sign == NEGATIVE_BUBBLE for f in qualified)
         if pos > neg:
-            sign = "positive_bubble"
+            sign = POSITIVE_BUBBLE
         elif neg > pos:
-            sign = "negative_bubble"
+            sign = NEGATIVE_BUBBLE
         else:
             sign = NO_SIGN
         records.append(

@@ -7,13 +7,17 @@ series so recovery tests need no side channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .model import GrowthSpec, LpplParams, growth_value, lppl_log_price
 from .timeseries import PriceSeries
+
+# most grid points one spec may ask for, so a typo'd grid cannot exhaust memory
+_MAX_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -27,12 +31,18 @@ class SynthSpec:
     label: str = "synthetic"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_start, self.t_end, self.step, self.noise_sigma))):
+            raise DomainError("grid and noise sigma must be finite")
         if self.step <= 0:
             raise DomainError("grid step must be positive")
         if self.t_end <= self.t_start:
             raise DomainError("grid end must exceed grid start")
+        if not (self.t_end - self.t_start) / self.step < _MAX_POINTS:
+            raise DomainError(f"grid holds more than {_MAX_POINTS} points")
         if self.noise_sigma < 0:
             raise DomainError("noise sigma must be nonnegative")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         t_c = getattr(self.regime, "t_c", None)
         if isinstance(self.regime, LpplParams) or (
             isinstance(self.regime, GrowthSpec) and self.regime.kind == "hyperbolic"
@@ -61,9 +71,8 @@ def generate(spec: SynthSpec) -> SynthResult:
         if np.any(values <= 0):
             raise DomainError("growth trajectory must stay positive to be a price")
         log_values = np.log(values)
-        truth = {"regime": spec.regime.kind}
-        for name in ("rate", "p0", "capacity", "t_c", "alpha", "scale"):
-            truth[name] = getattr(spec.regime, name)
+        truth = asdict(spec.regime)
+        truth["regime"] = truth.pop("kind")
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
         log_values = log_values + rng.normal(0.0, spec.noise_sigma, size=n)

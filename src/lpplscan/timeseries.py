@@ -15,7 +15,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import CsvFormatError, WindowError
+from .errors import CsvFormatError, DomainError, WindowError
 
 EPOCH = date(1970, 1, 1)
 
@@ -50,15 +50,15 @@ class PriceSeries:
         times = np.asarray(self.times, dtype=float)
         prices = np.asarray(self.prices, dtype=float)
         if times.ndim != 1 or prices.ndim != 1 or len(times) != len(prices):
-            raise ValueError("times and prices must be 1-d arrays of equal length")
+            raise DomainError("times and prices must be 1-d arrays of equal length")
         if len(times) < 2:
-            raise ValueError("a price series needs at least 2 observations")
+            raise DomainError("a price series needs at least 2 observations")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(prices)):
-            raise ValueError("times and prices must be finite")
+            raise DomainError("times and prices must be finite")
         if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise DomainError("times must be strictly increasing")
         if np.any(prices <= 0):
-            raise ValueError("all prices must be positive")
+            raise DomainError("all prices must be positive")
         times.setflags(write=False)
         prices.setflags(write=False)
         log_prices = np.log(prices)

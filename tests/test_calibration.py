@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ from lpplscan.calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
+    _latin_hypercube,
     _linear_fit,
     fit_window,
     oscillation_count,
@@ -122,7 +126,34 @@ class TestLinearFit:
         np.testing.assert_allclose(X @ beta, X @ ref, rtol=0, atol=1e-7)
 
 
+class TestLatinHypercube:
+    @pytest.mark.parametrize("n", [1, 6, 20, 37])
+    def test_matches_scipy(self, n):
+        from scipy.stats import qmc
+
+        for seed in [*range(50), 2**31 - 1, 2**32 - 1, 2**63, 12345678901234567890]:
+            expected = qmc.LatinHypercube(d=3, seed=seed).random(n)
+            assert np.array_equal(_latin_hypercube(n, 3, seed), expected), seed
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, lpplscan; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+        path = os.pathsep.join(sys.path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestQualify:
+    def test_returns_the_judged_fit(self):
+        p = LpplParams(t_c=200.0, m=0.5, omega=15.5, phi=0.0, A=5.0, B=-1.0, C=0.1)
+        fit = make_fit(p)
+        judged = qualify(fit, FilterConfig())
+        assert isinstance(judged, FitResult)
+        assert (judged.qualified, judged.failures) == (False, ("omega_in_range", "tc_within_horizon"))
+        assert replace(judged, failures=(), checks={}) == fit
+
     def test_all_defaults_pass(self):
         p = LpplParams(t_c=120.0, m=0.5, omega=8.0, phi=0.0, A=5.0, B=-1.0, C=0.1)
         fit = make_fit(p)  # window [0, 100], t_c - t2 = 0.2 * window

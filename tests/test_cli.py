@@ -115,6 +115,48 @@ class TestSynth:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--regime", "lppl"],  # t_c is required
+            ["--regime", "exp", "--params", "rate=abc"],
+            ["--regime", "exp", "--params", "capacity=5"],  # not a key of exp
+            ["--regime", "hyperbolic", "--params", "rate=0.1"],
+        ],
+    )
+    def test_bad_params_are_usage_errors(self, tmp_path, capsys, params):
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "synth", *params, "--out", str(out))
+        assert code == 2
+        assert one_json_object(err)["error"]["type"] == "usage"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--grid", "0,nan,1"],
+            ["--grid", "0,inf,1"],
+            ["--grid", "0,1e9,1e-3"],
+            ["--noise", "nan"],
+            ["--noise", "inf"],
+            ["--params", "rate=1", "--grid", "0,1000,1"],  # prices overflow
+            ["--seed", "-1", "--noise", "0.1"],
+        ],
+    )
+    def test_out_of_range_input_is_domain_error(self, tmp_path, capsys, extra):
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "synth", "--regime", "exp", *extra, "--out", str(out))
+        assert code == 1
+        assert one_json_object(err)["error"]["type"] == "DomainError"
+        assert not out.exists()
+
+    def test_params_defaults_fill_the_truth(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "synth", "--regime", "logistic", "--params", "p0=2", "--out", str(out))
+        assert code == 0
+        truth = json.loads(out.with_suffix(".truth.json").read_text())
+        assert (truth["regime"], truth["rate"], truth["p0"], truth["capacity"]) == ("logistic", 0.01, 2.0, 100.0)
+
 
 class TestFit:
     def test_fit_json(self, bubble_csv, capsys, tmp_path):
@@ -271,12 +313,21 @@ class TestConfig:
         assert one_json_object(err)["error"]["type"] == "usage"
 
     @pytest.mark.parametrize(
-        "extra", [["--filters", "n_starts=0"], ["--filters", "max_iter=0"], ["--jobs", "0"]]
+        "extra",
+        [["--filters", "n_starts=0"], ["--filters", "max_iter=0"], ["--jobs", "0"], ["--seed=-1"]],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):
         code, _, err = self.scan(capsys, bubble_csv, tmp_path, *extra)
         assert code == 1
         assert one_json_object(err)["error"]["type"] == "DomainError"
+
+    def test_negative_fit_seed_is_domain_error(self, bubble_csv, capsys):
+        code, _, err = run(
+            capsys, "fit", "--input", str(bubble_csv), "--date-column", "time",
+            "--t1", "0", "--t2", "139", "--seed=-1",
+        )
+        assert code == 1
+        assert one_json_object(err)["error"]["message"] == "seed must be >= 0"
 
     def test_min_line_gain_reaches_the_filters(self, bubble_csv, capsys):
         args = ["fit", "--input", str(bubble_csv), "--date-column", "time",
@@ -306,3 +357,10 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_bad_flag_value_is_one_json_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--regime", "exp", "--noise", "abc"])
+        assert exc.value.code == 2
+        error = one_json_object(capsys.readouterr().err)["error"]
+        assert error["type"] == "usage" and "--noise" in error["message"]

@@ -64,6 +64,36 @@ def test_grid_may_not_touch_singularity():
         SynthSpec(regime=hyp, t_start=0, t_end=50, step=1.0)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(t_start=0.0, t_end=math.nan, step=1.0),
+        dict(t_start=0.0, t_end=math.inf, step=1.0),
+        dict(t_start=-math.inf, t_end=10.0, step=1.0),
+        dict(t_start=0.0, t_end=10.0, step=math.nan),
+        dict(t_start=0.0, t_end=10.0, step=1.0, noise_sigma=math.nan),
+        dict(t_start=0.0, t_end=10.0, step=1.0, noise_sigma=math.inf),
+        dict(t_start=0.0, t_end=1e9, step=1e-3),  # 1e12 points
+        dict(t_start=0.0, t_end=10.0, step=1e-320),  # point count overflows to inf
+        dict(t_start=0.0, t_end=10.0, step=1.0, seed=-1),
+    ],
+)
+def test_spec_rejects_out_of_range_grid_noise_and_seed(grid):
+    with pytest.raises(DomainError):
+        SynthSpec(regime=GrowthSpec(kind="exponential", rate=0.001), **grid)
+
+
+def test_growth_truth_holds_every_field():
+    spec = SynthSpec(
+        regime=GrowthSpec(kind="logistic", rate=0.1, p0=1.0, capacity=10.0),
+        t_start=0, t_end=9, step=1.0, seed=2,
+    )
+    assert generate(spec).truth == {
+        "regime": "logistic", "rate": 0.1, "p0": 1.0, "capacity": 10.0, "t_c": 0.0, "alpha": 1.0,
+        "scale": 1.0, "noise_sigma": 0.0, "seed": 2, "t_start": 0, "t_end": 9.0, "step": 1.0,
+    }
+
+
 def test_truth_metadata_round_trip():
     spec = SynthSpec(regime=LPPL, t_start=0, t_end=199, step=1.0, noise_sigma=0.01, seed=9)
     truth = generate(spec).truth

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpplscan.errors import CsvFormatError, WindowError
+from lpplscan.errors import CsvFormatError, DomainError, WindowError
 from lpplscan.timeseries import (
     CsvOptions,
     PriceSeries,
@@ -27,14 +27,16 @@ class TestPriceSeries:
         assert s.log_prices == pytest.approx([math.log(100), math.log(101)])
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             PriceSeries([0.0], [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             PriceSeries([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             PriceSeries([1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             PriceSeries([0.0, 1.0], [1.0, -1.0])
+        with pytest.raises(DomainError):
+            PriceSeries([0.0, 1.0], [1.0, math.inf])
 
     def test_immutable(self):
         s = daily_series()
