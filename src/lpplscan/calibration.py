@@ -2,10 +2,11 @@
 
 The seven model parameters split into four exactly linear ones (A, B, C1, C2)
 and three nonlinear ones (t_c, m, omega). The linear block is solved by least
-squares inside the objective, so the outer search is a 3-d multi-start
-Nelder-Mead over (t_c, m, omega). The outer search runs in normalized
-coordinates (t_c mapped to a unit interval anchored at the window end), which
-makes results exactly invariant under price scaling and time translation.
+squares inside the objective, so the outer search runs over (t_c, m, omega)
+only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
+The outer search runs in normalized coordinates (t_c mapped to a unit interval
+anchored at the window end), which makes results exactly invariant under
+price scaling and time translation.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ NO_SIGN = "none"
 # basis log term stays finite at the last observation
 _TC_MARGIN = 1e-6
 
+_SCREEN_PER_START = 50
+_DESCENTS = 2
+_MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -47,6 +52,9 @@ class FilterConfig:
     min_line_gain: float | None = 0.25
 
     def __post_init__(self):
+        values = (*self.m_range, *self.omega_range, self.tc_horizon, self.min_oscillations)
+        if not all(math.isfinite(v) for v in (*values, self.max_rmse, self.min_line_gain) if v is not None):
+            raise DomainError("filter ranges, horizon and thresholds must be finite")
         if not self.m_range[0] < self.m_range[1]:
             raise DomainError("empty m range")
         if not self.omega_range[0] < self.omega_range[1]:
@@ -57,15 +65,17 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multi-start settings for the nonlinear (t_c, m, omega) search."""
+    """Effort of the (t_c, m, omega) search: a Latin-hypercube screen of
+    50 * n_starts points (n_starts <= 10,000), then two Nelder-Mead descents
+    of at most max_iter iterations each, from the screen's two best points.
+    """
 
     n_starts: int = 20
     max_iter: int = 400
-    rel_tol: float = 1e-8  # convergence tolerance on relative sse
 
     def __post_init__(self):
-        if self.n_starts < 1 or self.max_iter < 1:
-            raise DomainError("n_starts and max_iter must be >= 1")
+        if not (1 <= self.n_starts <= _MAX_STARTS and self.max_iter >= 1):
+            raise DomainError(f"n_starts must lie in [1, {_MAX_STARTS}] and max_iter be >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,25 +208,24 @@ def fit_window(
     filters: FilterConfig = FilterConfig(),
     seed: int = 0,
 ) -> FitResult:
-    """Best-sse calibration of the window via seeded multi-start search.
+    """Best-sse calibration of the window: seeded screen, then two descents.
 
     Deterministic: identical (series, window, config, filters, seed) give a
-    bit-identical result. Ties between equal-sse starts go to the lowest
-    start index.
+    bit-identical result. Ties between equal-sse screen points or descents go
+    to the lowest screen index.
     """
     tt = window.times(series)
     y = window.log_prices(series)
     n = len(tt)
     t2 = window.t2
-    wlen = window.length
-    tc_span = filters.tc_horizon * wlen
+    tc_span = filters.tc_horizon * window.length
 
     # normalized coordinates: z = (u, m, omega), t_c = t2 + u * tc_span
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
     hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
     bounds = list(zip(lo, hi))
 
-    # scale-invariant normalization so rel_tol means relative sse
+    # scale-invariant normalization so fatol means relative sse
     y_var = float(np.var(y))
     scale = y_var * n if y_var > 0 else 1.0
 
@@ -228,32 +237,21 @@ def fit_window(
         u, m, omega = z
         return _linear_fit(u * tc_span + rev, y, m, omega)[1] / scale
 
-    def descend(z0, fatol, xatol):
-        options = {"maxiter": config.max_iter, "fatol": fatol, "xatol": xatol}
-        return minimize(objective, z0, method="Nelder-Mead", bounds=bounds, options=options)
-
-    starts = lo + _latin_hypercube(config.n_starts, 3, int(seed)) * (hi - lo)
-    best_sse = math.inf
-    best_z = None
+    screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
+    # tight tolerances keep the stopping scatter below the equivariance
+    # tolerances: scaled prices and shifted times land on the same point
+    options = {"maxiter": config.max_iter, "fatol": 1e-14, "xatol": 1e-10}
+    best = None
     diagnostics = []
-    for idx, z0 in enumerate(starts):
-        res = descend(z0, config.rel_tol, 1e-7)
-        sse = res.fun * scale
-        diagnostics.append({"start": idx, "sse": sse, "converged": bool(res.success)})
-        if math.isfinite(sse) and sse < best_sse:
-            best_sse = sse
-            best_z = res.x
+    for idx in np.argsort([objective(z) for z in screen], kind="stable")[:_DESCENTS]:
+        res = minimize(objective, screen[idx], method="Nelder-Mead", bounds=bounds, options=options)
+        diagnostics.append({"start": int(idx), "sse": res.fun * scale, "converged": bool(res.success)})
+        if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
+            best = res
+    if best is None:
+        raise FitError("every descent failed to produce a finite fit", diagnostics)
 
-    if best_z is None:
-        raise FitError("every restart failed to produce a finite fit", diagnostics)
-
-    # tight polish of the winning start; shrinks stopping scatter so that
-    # equivalent inputs (scaled prices, shifted times) land on the same point
-    polish = descend(best_z, 1e-14, 1e-10)
-    if math.isfinite(polish.fun) and polish.fun * scale <= best_sse:
-        best_z = polish.x
-
-    u, m, omega = (float(v) for v in best_z)
+    u, m, omega = (float(v) for v in best.x)
     beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)
     A, B, c1, c2 = (float(v) for v in beta)
     params = LpplParams.from_linear(t2 + u * tc_span, m, omega, A, B, c1, c2)

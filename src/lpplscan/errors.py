@@ -14,7 +14,7 @@ class WindowError(DomainError):
 
 
 class FitError(DomainError):
-    """Calibration failed on every restart; carries per-start diagnostics."""
+    """Calibration failed on every descent; carries per-descent diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -146,6 +146,8 @@ def cascade(p0: float, r0: float, n: int) -> list[CascadeState]:
         except OverflowError:
             raise DomainError(f"cascade step {k} overflows double precision") from None
         dt = math.log(2.0) / rate
+        if not math.isfinite(t + dt):
+            raise DomainError(f"cascade step {k} time overflows double precision")
         rows.append(
             CascadeState(time=t, population=population, rate=rate, doubling_time=dt)
         )

@@ -20,7 +20,7 @@ from .calibration import (
     fit_window,
 )
 from .errors import DomainError, WindowError
-from .timeseries import PriceSeries, slice_window
+from .timeseries import DEFAULT_MIN_WINDOW_POINTS, PriceSeries, slice_window
 
 
 def default_window_ladder(
@@ -39,7 +39,7 @@ def default_window_ladder(
 class ScanConfig:
     window_lengths: tuple[float, ...] = field(default_factory=default_window_ladder)
     end_every: int = 5  # evaluate every k-th observation, anchored at the last
-    min_points: int = 30
+    min_points: int = DEFAULT_MIN_WINDOW_POINTS
     search: SearchConfig = field(default_factory=SearchConfig)
     filters: FilterConfig = field(default_factory=FilterConfig)
     band: tuple[float, float] = (0.1, 0.9)
@@ -92,6 +92,7 @@ class AlarmReport:
     records: tuple[DateRecord, ...]
     n_fits: int
     n_skipped: int
+    band: tuple[float, float]  # the tc_band quantiles, which name the CSV's band columns
 
     @property
     def max_alarm(self) -> float:
@@ -128,8 +129,9 @@ class AlarmReport:
         }
 
     def to_csv_rows(self) -> list[list[str]]:
-        """Flat rows under header date,alarm,qualified,total,tc_q10,tc_median,tc_q90,sign."""
-        rows = [["date", "alarm", "qualified", "total", "tc_q10", "tc_median", "tc_q90", "sign"]]
+        """Flat rows under header date,alarm,qualified,total,tc_q10,tc_median,tc_q90,sign (for band 0.1, 0.9)."""
+        low, high = (f"tc_q{100 * q:.12g}" for q in self.band)
+        rows = [["date", "alarm", "qualified", "total", low, "tc_median", high, "sign"]]
         for r in self.records:
             band = ["", "", ""]
             if r.tc_band is not None:
@@ -277,4 +279,5 @@ def report(series: PriceSeries, config: ScanConfig = ScanConfig()) -> AlarmRepor
         records=tuple(records),
         n_fits=len(result.fits),
         n_skipped=result.n_skipped,
+        band=config.band,
     )

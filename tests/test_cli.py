@@ -79,13 +79,15 @@ class TestCascade:
 
     def test_overflow_is_domain_error(self, tmp_path, capsys):
         out_file = tmp_path / "cascade.csv"
-        code, _, err = run(
-            capsys, "cascade", "--p0", "2", "--rate", "0.02", "--steps", "2000",
-            "--out", str(out_file),
-        )
-        assert code == 1
-        assert one_json_object(err)["error"]["type"] == "DomainError"
-        assert not out_file.exists()
+        # too many doublings, a doubling time past the largest double, a time past it
+        for p0, rate, steps in [("2", "0.02", "2000"), ("1e-320", "1e-320", "3"), ("1", "7e-309", "5")]:
+            code, _, err = run(
+                capsys, "cascade", "--p0", p0, "--rate", rate, "--steps", steps,
+                "--out", str(out_file),
+            )
+            assert code == 1
+            assert one_json_object(err)["error"]["type"] == "DomainError"
+            assert not out_file.exists()
 
 
 class TestSynth:
@@ -284,11 +286,11 @@ class TestConfig:
 
     def test_unknown_filter_keys_are_usage_errors(self, bubble_csv, tmp_path, capsys):
         code, _, err = self.scan(
-            capsys, bubble_csv, tmp_path, "--filters", "n_start=2", "min_line_gain=0.9", "bogus=1"
+            capsys, bubble_csv, tmp_path, "--filters", "n_start=2", "min_line_gain=0.9", "bogus=1", "rel_tol=1e-6"
         )
         assert code == 2
         message = one_json_object(err)["error"]["message"]
-        assert "bogus" in message and "n_start" in message
+        assert "bogus" in message and "n_start" in message and "rel_tol" in message
 
     def test_unknown_config_file_key_is_usage_error(self, bubble_csv, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
@@ -314,7 +316,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--filters", "n_starts=0"], ["--filters", "max_iter=0"], ["--jobs", "0"], ["--seed=-1"]],
+        [
+            ["--filters", "n_starts=0"],
+            ["--filters", "max_iter=0"],
+            ["--jobs", "0"],
+            ["--seed=-1"],
+            ["--filters", "n_starts=10001"],
+            ["--filters", "min_oscillations=nan"],
+            ["--filters", "min_line_gain=nan"],
+            ["--filters", "max_rmse=nan"],
+            ["--filters", "tc_horizon=nan"],
+            ["--filters", "tc_horizon=inf"],
+            ["--filters", "m_range=0.01,inf"],
+        ],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):
         code, _, err = self.scan(capsys, bubble_csv, tmp_path, *extra)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,8 @@ class TestReport:
             "date", "alarm", "qualified", "total", "tc_q10", "tc_median", "tc_q90", "sign",
         ]
         assert len(rows) == len(rep.records) + 1
+        quartiles = report(s, replace(cfg, band=(0.25, 0.75))).to_csv_rows()
+        assert quartiles[0][4:7] == ["tc_q25", "tc_median", "tc_q75"]
 
     def test_scale_equivariance_of_report(self):
         s = bubble_series(seed=2, noise=0.0)
