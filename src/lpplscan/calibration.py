@@ -4,6 +4,8 @@ The seven model parameters split into four exactly linear ones (A, B, C1, C2)
 and three nonlinear ones (t_c, m, omega). The linear block is solved by least
 squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
+The screen is scored in bounded batches through the same least-squares
+kernel that the descents call one point at a time, with bit-identical sse.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -33,6 +35,7 @@ _TC_MARGIN = 1e-6
 _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
+_SCREEN_CHUNK = 4096  # points x window length per screen batch
 
 
 @dataclass(frozen=True)
@@ -132,33 +135,45 @@ def solve_linear(
     return A, B, c1, c2, sse
 
 
-def _linear_fit(dt: np.ndarray, y: np.ndarray, m: float, omega: float) -> tuple[np.ndarray, float]:
+def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, float | np.ndarray]:
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0, and its sse.
 
-    The one linear solve of calibration: the search objective, the final
-    parameters and solve_linear all go through it. Normal equations, with a
-    minimum-norm lstsq fallback when they are singular; the sse is computed
-    from the residuals and is inf when the solve is not finite.
+    The one linear solve of calibration: the screen, the descents, the final
+    parameters and solve_linear all go through it. dt has shape (..., n) and
+    m, omega broadcast against it, so a batch of P points passes dt of shape
+    (P, n) with (P, 1) columns; beta has shape (..., 4) and sse shape (...),
+    a float for 1-D dt. Every row of a batch is bit-identical to its 1-D
+    call: stacked matmul runs the same BLAS kernels per row (einsum does not).
+    Normal equations, with a minimum-norm lstsq fallback when they are
+    singular; the sse is computed from the residuals and is inf when the
+    solve is not finite.
     """
     ldt = np.log(dt)
     pw = np.exp(m * ldt)
     angle = omega * ldt
-    X = np.empty((dt.shape[0], 4))
-    X[:, 0] = 1.0
-    X[:, 1] = pw
-    X[:, 2] = pw * np.cos(angle)
-    X[:, 3] = pw * np.sin(angle)
-    G = X.T @ X
-    b = X.T @ y
+    cos = pw * np.cos(angle)
+    X = np.empty(cos.shape + (4,))
+    X[..., 0] = 1.0
+    X[..., 1] = pw
+    X[..., 2] = cos
+    X[..., 3] = pw * np.sin(angle)
+    Xt = X.swapaxes(-1, -2)
     try:
-        beta = np.linalg.solve(G, b)
+        beta = np.linalg.solve(Xt @ X, (Xt @ y)[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    if not np.all(np.isfinite(beta)):
-        return beta, math.inf
-    resid = y - X @ beta
-    sse = float(resid @ resid)
-    return beta, sse if math.isfinite(sse) else math.inf
+        if X.ndim == 2:
+            beta = np.linalg.lstsq(X, y, rcond=None)[0]
+        else:
+            # one singular row makes solve reject the whole batch: re-solve it row by row
+            rows = zip(*np.broadcast_arrays(dt, m, omega))
+            beta, sse = zip(*(_linear_fit(d, y, mi, oi) for d, mi, oi in rows))
+            return np.array(beta), np.array(sse)
+    resid = y - (X @ beta[..., None])[..., 0]
+    sse = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
+    # a non-finite beta leaves every residual non-finite, so the sse check covers it
+    if X.ndim == 2:
+        return beta, float(sse) if math.isfinite(sse) else math.inf
+    return beta, np.where(np.isfinite(sse), sse, math.inf)
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -238,12 +253,18 @@ def fit_window(
         return _linear_fit(u * tc_span + rev, y, m, omega)[1] / scale
 
     screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
+    # scored in batches of about _SCREEN_CHUNK basis rows, which bounds the screen's memory
+    rows = max(1, _SCREEN_CHUNK // n)
+    screen_sse = np.concatenate([
+        _linear_fit(z[:, :1] * tc_span + rev, y, z[:, 1:2], z[:, 2:3])[1]
+        for z in (screen[i:i + rows] for i in range(0, len(screen), rows))
+    ])
     # tight tolerances keep the stopping scatter below the equivariance
     # tolerances: scaled prices and shifted times land on the same point
     options = {"maxiter": config.max_iter, "fatol": 1e-14, "xatol": 1e-10}
     best = None
     diagnostics = []
-    for idx in np.argsort([objective(z) for z in screen], kind="stable")[:_DESCENTS]:
+    for idx in np.argsort(screen_sse / scale, kind="stable")[:_DESCENTS]:
         res = minimize(objective, screen[idx], method="Nelder-Mead", bounds=bounds, options=options)
         diagnostics.append({"start": int(idx), "sse": res.fun * scale, "converged": bool(res.success)})
         if math.isfinite(res.fun) and (best is None or res.fun < best.fun):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, model, scanner, synth, timeseries
-from .errors import DomainError
+from .errors import CsvFormatError, DomainError
 
 DEFAULT_SEED = 42
 
@@ -87,7 +87,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines, # comments; the same keys as --filters."""
-    lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return _parse_kv([line for line in lines if line])
 
 
@@ -121,8 +125,11 @@ def _scan_config(args) -> scanner.ScanConfig:
 
 def _load_series(path: str, date_column: str, price_column: str):
     opts = timeseries.CsvOptions(date_column=date_column, price_column=price_column)
-    with open(path, newline="") as fh:
-        result = timeseries.load_csv(fh, opts, label=Path(path).stem)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            result = timeseries.load_csv(fh, opts, label=Path(path).stem)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"input {path} is not UTF-8 text ({exc.reason})") from None
     for rej in result.rejected:
         print(
             json.dumps({"warning": "row rejected", "line": rej.line, "reason": rej.reason}),

@@ -151,9 +151,10 @@ class LoadResult:
 def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> LoadResult:
     """Read a header CSV into a validated PriceSeries.
 
-    Rows with unparseable timestamps or non-positive/unparseable prices are
-    rejected and reported by line number. Duplicate timestamps with equal
-    price are deduplicated; with different prices they are a hard error.
+    Rows with unparseable timestamps or unparseable, non-finite or
+    non-positive prices are rejected and reported by line number. Duplicate
+    timestamps with equal price are deduplicated; with different prices they
+    are a hard error.
     """
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8"))
@@ -192,7 +193,10 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
         except ValueError:
             rejected.append(RejectedRow(line_no, f"unparseable price: {row[p_idx]!r}"))
             continue
-        if not math.isfinite(p) or p <= 0:
+        if not math.isfinite(p):
+            rejected.append(RejectedRow(line_no, f"non-finite price: {row[p_idx]!r}"))
+            continue
+        if p <= 0:
             rejected.append(RejectedRow(line_no, f"non-positive price: {row[p_idx]!r}"))
             continue
         rows.append((t, p))

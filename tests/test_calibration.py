@@ -125,6 +125,42 @@ class TestLinearFit:
         # normal equations lose up to cond(X^T X) * eps * |y|, about 1.6e-7 here
         np.testing.assert_allclose(X @ beta, X @ ref, rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [30, 200, 750])
+    def test_batched_rows_match_single_calls(self, n):
+        rng = np.random.default_rng(n)
+        tt = np.arange(float(n))
+        y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
+        rev, tc_span = tt[-1] - tt, 0.5 * (n - 1)
+        filters = FilterConfig()
+        lo = np.array([1e-6, filters.m_range[0], filters.omega_range[0]])
+        hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
+        z = lo + _latin_hypercube(37, 3, n) * (hi - lo)
+        z[3, 1] = 0.0  # m = 0: the constant and power-law columns coincide, X^T X is singular
+        z[25, 2] = np.inf  # a non-finite basis
+        with np.errstate(invalid="ignore"):
+            singles = [_linear_fit(u * tc_span + rev, y, m, omega) for u, m, omega in z]
+        assert all(type(sse) is float for _, sse in singles)
+        assert math.isfinite(singles[3][1]) and singles[25][1] == math.inf
+        # the 1-D call keeps plain 2-D BLAS arithmetic: normal equations and r @ r
+        for (u, m, omega), (b1, s1) in zip(z, singles):
+            if m == 0.0 or omega == np.inf:
+                continue
+            ldt = np.log(u * tc_span + rev)
+            pw = np.exp(m * ldt)
+            X = np.column_stack([np.ones(n), pw, pw * np.cos(omega * ldt), pw * np.sin(omega * ldt)])
+            ref = np.linalg.solve(X.T @ X, X.T @ y)
+            resid = y - X @ ref
+            assert np.array_equal(b1, ref) and s1 == float(resid @ resid)
+        # batches of 10 leave a last batch of 7; the first holds the singular row
+        for start in range(0, len(z), 10):
+            rows = z[start:start + 10]
+            with np.errstate(invalid="ignore"):
+                beta, sse = _linear_fit(rows[:, :1] * tc_span + rev, y, rows[:, 1:2], rows[:, 2:3])
+            assert beta.shape == (len(rows), 4) and sse.shape == (len(rows),)
+            for k, (b1, s1) in enumerate(singles[start:start + 10]):
+                assert np.array_equal(beta[k], b1, equal_nan=True)
+                assert sse[k] == s1
+
 
 class TestLatinHypercube:
     @pytest.mark.parametrize("n", [1, 6, 20, 37])
@@ -282,6 +318,20 @@ class TestFitWindow:
         assert blob["params"]["t_c"] == fit.params.t_c
         assert blob["window"]["t1"] == 0.0
         assert set(blob["filters"]) >= {"m_in_range", "omega_in_range"}
+
+    def test_screen_memory_is_bounded(self):
+        import tracemalloc
+
+        s = lppl_series(noise=0.01, seed=2, n=750, params=replace(TRUE, t_c=800.0))
+        w = full_window(s)
+        tracemalloc.start()
+        try:
+            # a screen of 10,000 points; held whole, its basis alone would take 240 MB
+            fit_window(s, w, SearchConfig(n_starts=200, max_iter=50), seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNestingOptimality:

@@ -208,6 +208,18 @@ class TestFit:
         assert warning["warning"] == "row rejected"
         assert "non-finite" in warning["reason"]
 
+    def test_non_utf8_input_is_csv_format_error(self, bubble_csv, capsys):
+        with open(bubble_csv, "ab") as fh:
+            fh.write(b"140,\xff,1.6\n")
+        code, _, err = run(
+            capsys,
+            "fit", "--input", str(bubble_csv), "--date-column", "time",
+            "--t1", "0", "--t2", "139", "--filters", "n_starts=2",
+        )
+        assert code == 1
+        error = one_json_object(err)["error"]
+        assert error["type"] == "CsvFormatError" and "UTF-8" in error["message"]
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(
             capsys, "fit", "--input", "/nonexistent.csv", "--t1", "0", "--t2", "100"
@@ -298,6 +310,14 @@ class TestConfig:
         code, _, err = self.scan(capsys, bubble_csv, tmp_path, "--config", str(cfg))
         assert code == 2
         assert one_json_object(err)["error"]["type"] == "usage"
+
+    def test_non_utf8_config_file_is_usage_error(self, bubble_csv, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_bytes(b"n_starts = 2  # \xff\n")
+        code, _, err = self.scan(capsys, bubble_csv, tmp_path, "--config", str(cfg))
+        assert code == 2
+        error = one_json_object(err)["error"]
+        assert error["type"] == "usage" and "UTF-8" in error["message"]
 
     @pytest.mark.parametrize(
         "extra",

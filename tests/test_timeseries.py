@@ -59,6 +59,15 @@ class TestLoadCsv:
         assert result.rejected[0].line == 3
         assert "-5" in result.rejected[0].reason
 
+    @pytest.mark.parametrize(
+        "price, reason",
+        [("inf", "non-finite price"), ("nan", "non-finite price"), ("-inf", "non-finite price"),
+         ("0", "non-positive price")],
+    )
+    def test_rejected_price_reason(self, price, reason):
+        result = load_csv(f"date,price\n2020-01-01,100\n2020-01-02,{price}\n2020-01-03,101\n")
+        assert [(r.line, r.reason) for r in result.rejected] == [(3, f"{reason}: {price!r}")]
+
     def test_shuffled_input_equals_sorted(self):
         sorted_csv = "date,price\n2020-01-01,100\n2020-01-02,101\n2020-01-03,99\n"
         shuffled = "date,price\n2020-01-03,99\n2020-01-01,100\n2020-01-02,101\n"
