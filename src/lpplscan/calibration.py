@@ -4,8 +4,12 @@ The seven model parameters split into four exactly linear ones (A, B, C1, C2)
 and three nonlinear ones (t_c, m, omega). The linear block is solved by least
 squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
-The screen is scored in bounded batches through the same least-squares
-kernel that the descents call one point at a time, with bit-identical sse.
+The Nelder-Mead is an in-house ask/tell simplex (`_simplex`), a bit-exact
+transcription of scipy's bounded one, so numpy is the only run-time
+dependency. The two descents run in lockstep: each step scores every live
+descent's next point in one batched call of the least-squares kernel, as
+the screen scores its points in bounded batches, with the sse of each row
+bit-identical to a one-point call.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, FitError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
@@ -36,6 +39,10 @@ _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
 _SCREEN_CHUNK = 4096  # points x window length per screen batch
+# tight tolerances keep the stopping scatter below the equivariance
+# tolerances: scaled prices and shifted times land on the same point
+_FATOL = 1e-14
+_XATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,79 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - u) / n
 
 
+def _simplex(z0, lo, hi, max_iter: int):
+    """Bounded Nelder-Mead as an ask/tell generator.
+
+    Yields each point to evaluate, as a list of floats, and is sent that
+    point's objective value; returns (x, f, converged, iterations). It
+    transcribes scipy 1.17's minimize(method="Nelder-Mead", bounds=...,
+    options={"maxiter": max_iter, "fatol": _FATOL, "xatol": _XATOL}) for a
+    finite start and box: the same moves, clipping and vertex order, so the
+    same objective values give bit-identical points. converged means the
+    tolerance test stopped the descent before max_iter iterations.
+    """
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+
+    def clip(x):
+        # np.clip's comparisons: on a tie the bound wins
+        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
+
+    x0 = clip(float(v) for v in z0)
+    N = len(x0)
+    sim = [x0]
+    for k in range(N):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        # a step past the upper bound is reflected into the box
+        sim.append(clip(2 * h - v if v > h else v for v, h in zip(y, hi)))
+    fsim = []
+    for x in sim:
+        fsim.append((yield x))
+
+    def order():
+        # np.argsort's default kind, whose order of tied values is scipy's
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    sim, fsim = order()
+    iterations = 1
+    while iterations < max_iter:
+        best = sim[0]
+        if all(abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best)) and all(
+            abs(fsim[0] - f) <= _FATOL for f in fsim[1:]
+        ):
+            break
+        # the centroid of all but the worst vertex, summed in vertex order
+        xbar = [sum(c[1:], c[0]) / N for c in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = clip(2 * c - w for c, w in zip(xbar, worst))  # reflection
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = clip(3 * c - 2 * w for c, w in zip(xbar, worst))  # expansion
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = clip(1.5 * c - 0.5 * w for c, w in zip(xbar, worst))  # outside contraction
+                fxc = yield xc
+                accept = fxc <= fxr
+            else:
+                xc = clip(0.5 * c + 0.5 * w for c, w in zip(xbar, worst))  # inside contraction
+                fxc = yield xc
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # every vertex halfway towards the best
+                for j in range(1, N + 1):
+                    sim[j] = clip(b + 0.5 * (v - b) for v, b in zip(sim[j], best))
+                    fsim[j] = yield sim[j]
+        iterations += 1
+        sim, fsim = order()
+    return sim[0], fsim[0], iterations < max_iter, iterations
+
+
 def sign_of(B: float) -> str:
     if B < 0:
         return POSITIVE_BUBBLE
@@ -238,7 +318,6 @@ def fit_window(
     # normalized coordinates: z = (u, m, omega), t_c = t2 + u * tc_span
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
     hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
-    bounds = list(zip(lo, hi))
 
     # scale-invariant normalization so fatol means relative sse
     y_var = float(np.var(y))
@@ -248,31 +327,38 @@ def fit_window(
     # all timestamps, which makes the whole search path translation-exact
     rev = t2 - tt
 
-    def objective(z):
-        u, m, omega = z
-        return _linear_fit(u * tc_span + rev, y, m, omega)[1] / scale
+    def score(z):
+        """The sse at each row (u, m, omega) of z, in one batched kernel call."""
+        return _linear_fit(z[:, :1] * tc_span + rev, y, z[:, 1:2], z[:, 2:3])[1]
 
     screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
     # scored in batches of about _SCREEN_CHUNK basis rows, which bounds the screen's memory
     rows = max(1, _SCREEN_CHUNK // n)
-    screen_sse = np.concatenate([
-        _linear_fit(z[:, :1] * tc_span + rev, y, z[:, 1:2], z[:, 2:3])[1]
-        for z in (screen[i:i + rows] for i in range(0, len(screen), rows))
-    ])
-    # tight tolerances keep the stopping scatter below the equivariance
-    # tolerances: scaled prices and shifted times land on the same point
-    options = {"maxiter": config.max_iter, "fatol": 1e-14, "xatol": 1e-10}
-    best = None
-    diagnostics = []
-    for idx in np.argsort(screen_sse / scale, kind="stable")[:_DESCENTS]:
-        res = minimize(objective, screen[idx], method="Nelder-Mead", bounds=bounds, options=options)
-        diagnostics.append({"start": int(idx), "sse": res.fun * scale, "converged": bool(res.success)})
-        if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise FitError("every descent failed to produce a finite fit", diagnostics)
+    screen_sse = np.concatenate([score(screen[i:i + rows]) for i in range(0, len(screen), rows)])
+    starts = np.argsort(screen_sse / scale, kind="stable")[:_DESCENTS]
 
-    u, m, omega = (float(v) for v in best.x)
+    # the descents in lockstep: one kernel call scores every live descent's next point
+    descents = [_simplex(screen[i], lo, hi, config.max_iter) for i in starts]
+    points = [next(d) for d in descents]
+    ends = [None] * len(descents)
+    live = list(range(len(descents)))
+    while live:
+        for i, f in zip(live, score(np.array([points[i] for i in live])) / scale):
+            try:
+                points[i] = descents[i].send(float(f))
+            except StopIteration as stop:
+                ends[i] = stop.value
+        live = [i for i in live if ends[i] is None]
+
+    finite = [end for end in ends if math.isfinite(end[1])]
+    if not finite:
+        diagnostics = [
+            {"start": int(idx), "sse": f * scale, "converged": converged}
+            for idx, (_, f, converged, _) in zip(starts, ends)
+        ]
+        raise FitError("every descent failed to produce a finite fit", diagnostics)
+    # min keeps the first of equal sse, the descent from the better screen point
+    u, m, omega = min(finite, key=lambda end: end[1])[0]
     beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)
     A, B, c1, c2 = (float(v) for v in beta)
     params = LpplParams.from_linear(t2 + u * tc_span, m, omega, A, B, c1, c2)

@@ -22,6 +22,8 @@ from .calibration import (
 from .errors import DomainError, WindowError
 from .timeseries import DEFAULT_MIN_WINDOW_POINTS, PriceSeries, slice_window
 
+_N_PARAMS = 7  # t_c, m, omega, phi, A, B, C: a window needs at least this many points
+
 
 def default_window_ladder(
     shortest: float = 60.0, longest: float = 750.0, factor: float = 1.3
@@ -51,6 +53,8 @@ class ScanConfig:
             raise DomainError("window lengths must be nonempty and positive")
         if self.end_every < 1:
             raise DomainError("end_every must be >= 1")
+        if self.min_points < _N_PARAMS:
+            raise DomainError(f"min_points must be >= {_N_PARAMS}, the number of LPPL parameters")
         if self.n_jobs < 1:
             raise DomainError("n_jobs must be >= 1")
         if self.seed < 0:

@@ -154,10 +154,13 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
     Rows with unparseable timestamps or unparseable, non-finite or
     non-positive prices are rejected and reported by line number. Duplicate
     timestamps with equal price are deduplicated; with different prices they
-    are a hard error.
+    are a hard error. A bytes source must be UTF-8 text.
     """
     if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
+        try:
+            source = io.StringIO(source.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"input is not UTF-8 text ({exc.reason})") from None
     elif isinstance(source, str):
         source = io.StringIO(source)
     reader = csv.reader(source)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from lpplscan.calibration import (
     SearchConfig,
     _latin_hypercube,
     _linear_fit,
+    _simplex,
     fit_window,
     oscillation_count,
     qualify,
@@ -172,13 +174,109 @@ class TestLatinHypercube:
             assert np.array_equal(_latin_hypercube(n, 3, seed), expected), seed
 
     def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, lpplscan; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+        # no scipy module at all, after the import and after a seeded fit
+        code = (
+            "import sys, lpplscan as L\n"
+            "loaded = lambda: any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            "print(loaded())\n"
+            "p = L.LpplParams(t_c=220.0, m=0.5, omega=6.28, phi=1.0, A=8.0, B=-1.0, C=0.05)\n"
+            "s = L.generate(L.SynthSpec(regime=p, t_start=0, t_end=99, step=1.0, noise_sigma=0.01, seed=0)).series\n"
+            "L.fit_window(s, L.slice_window(s, 0, 99), L.SearchConfig(n_starts=2, max_iter=50), seed=1)\n"
+            "print(loaded())\n"
+        )
         path = os.pathsep.join(sys.path)
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
+
+
+def drive(descent, objective):
+    """Run an ask/tell descent one point at a time: its result and its number of evaluations."""
+    nfev = 0
+    try:
+        point = next(descent)
+        while True:
+            nfev += 1
+            point = descent.send(objective(np.array(point)))
+    except StopIteration as stop:
+        return stop.value, nfev
+
+
+def lppl_objective(n=80, seed=0):
+    """fit_window's objective on a noisy LPPL window: scaled sse of a point (u, m, omega)."""
+    s = lppl_series(noise=0.01, seed=seed, n=n)
+    w = full_window(s)
+    y = w.log_prices(s)
+    rev, tc_span, scale = w.t2 - w.times(s), 0.5 * w.length, float(np.var(y)) * n
+    return lambda z: _linear_fit(z[..., :1] * tc_span + rev, y, z[..., 1:2], z[..., 2:3])[1] / scale
+
+
+class TestSimplex:
+    # fit_window's default box, with u reaching 0, where the lppl objective is inf
+    LO = np.array([0.0, 0.01, 2.0])
+    HI = np.array([1.0, 0.99, 15.0])
+
+    @staticmethod
+    def objectives():
+        lppl = lppl_objective()
+        return {
+            "lppl": lambda z: float(lppl(z[None, :])[0]),
+            "bowl": lambda z: float(np.sum((z - [0.3, 0.5, 9.0]) ** 2 * [4.0, 1.0, 0.01])),
+            # the minimum lies outside the box, so the descent ends on its faces
+            "outside": lambda z: float(np.sum((z - [1.5, -0.2, 1.0]) ** 2)),
+            # inf over part of the box, as the kernel returns for a failed solve
+            "partly_inf": lambda z: math.inf if z[0] + z[1] > 1.0 else float(np.sum((z - [0.9, 0.6, 6.0]) ** 2)),
+            # exactly tied vertex values: a flat box and a staircase
+            "flat": lambda z: 1.0,
+            "stairs": lambda z: float(np.floor(4 * z[0]) + np.floor(2 * z[1]) + np.floor(z[2] / 4)),
+        }
+
+    @pytest.mark.parametrize("max_iter", [1, 7, 400])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [0.5, 0.5, 8.0],  # inside
+            [1.0, 0.99, 15.0],  # on the upper bounds: the initial steps are reflected
+            [0.0, 0.01, 2.0],  # on the lower bounds, with a zero coordinate
+            [1.7, -0.3, 20.0],  # outside the box: clipped onto it
+            [0.98, 0.5, 14.5],  # inside, with steps past the upper bounds
+        ],
+    )
+    @np.errstate(divide="ignore", invalid="ignore")
+    def test_matches_scipy(self, start, max_iter):
+        from scipy.optimize import minimize
+
+        options = {"maxiter": max_iter, "fatol": 1e-14, "xatol": 1e-10}
+        for name, objective in self.objectives().items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns about a start outside the bounds
+                ref = minimize(objective, start, method="Nelder-Mead", bounds=list(zip(self.LO, self.HI)),
+                               options=options)
+            (x, f, converged, nit), nfev = drive(_simplex(start, self.LO, self.HI, max_iter), objective)
+            assert (list(ref.x), ref.fun, ref.nit, ref.nfev, ref.success) == (x, f, nit, nfev, converged), name
+
+    def test_lockstep_matches_solo_descents(self):
+        # two descents from different starts, each scored alone (one point per
+        # kernel call) and in lockstep (the live descents' points in one batched call)
+        objective = lppl_objective(n=150, seed=3)
+        lo = np.array([1e-6, 0.01, 2.0])
+        starts = [[0.2, 0.3, 5.0], [0.7, 0.8, 11.0]]
+        solo = [drive(_simplex(z, lo, self.HI, 250), lambda p: float(objective(p[None, :])[0])) for z in starts]
+        descents = [_simplex(z, lo, self.HI, 250) for z in starts]
+        points = [next(d) for d in descents]
+        ends, nfev = [None, None], [0, 0]
+        while None in ends:
+            live = [i for i in range(2) if ends[i] is None]
+            for i, f in zip(live, objective(np.array([points[i] for i in live]))):
+                nfev[i] += 1
+                try:
+                    points[i] = descents[i].send(float(f))
+                except StopIteration as stop:
+                    ends[i] = stop.value
+        assert [(end, k) for end, k in zip(ends, nfev)] == solo
+        assert solo[0][1] != solo[1][1]  # the descents end at different steps
 
 
 class TestQualify:

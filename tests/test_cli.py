@@ -348,6 +348,8 @@ class TestConfig:
             ["--filters", "tc_horizon=nan"],
             ["--filters", "tc_horizon=inf"],
             ["--filters", "m_range=0.01,inf"],
+            ["--filters", "min_points=0"],
+            ["--filters", "min_points=6"],
         ],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):

@@ -106,6 +106,7 @@ SEARCH = [("n_starts=", "2", SMALL), ("max_iter=", "40", SMALL)]
         "fit", "--input", "{csv}", ("--date-column=", "time", ANY), ("--t1=", "10", ANY),
         ("--t2=", "59", ANY), ("--seed=", "5", ANY), "--filters", *SEARCH,
         ("tc_horizon=", "0.5", ANY), ("m_range=", "0.01,0.99", PAIR), ("min_line_gain=", "0.25", ANY),
+        ("min_points=", "30", ANY),
     ]),
     cells=st.dictionaries(st.tuples(st.integers(0, 60), st.integers(0, 1)), ANY, max_size=4),
 )

@@ -80,6 +80,10 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             load_csv("")
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(CsvFormatError, match="not UTF-8"):
+            load_csv(b"date,price\n2020-01-01,100\n2020-01-02,\xff\n")
+
     def test_too_few_valid_rows(self):
         with pytest.raises(CsvFormatError, match="valid rows"):
             load_csv("date,price\n2020-01-01,100\n2020-01-02,bogus\n")
