@@ -1,4 +1,4 @@
-"""Single-window calibration.
+"""Window calibration.
 
 The seven model parameters split into four exactly linear ones (A, B, C1, C2)
 and three nonlinear ones (t_c, m, omega). The linear block is solved by least
@@ -6,10 +6,13 @@ squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
 The Nelder-Mead is an in-house ask/tell simplex (`_simplex`), a bit-exact
 transcription of scipy's bounded one, so numpy is the only run-time
-dependency. The two descents run in lockstep: each step scores every live
-descent's next point in one batched call of the least-squares kernel, as
-the screen scores its points in bounded batches, with the sse of each row
-bit-identical to a one-point call.
+dependency. fit_windows fits windows with the same number of points
+together: each window keeps its own screen, scored in bounded batches, and
+the descents of all of them run in lockstep, each step scoring every live
+descent's next point in one batched call of the least-squares kernel, with a
+row of log-prices per point. Every row of a batch is bit-identical to a
+one-point call, so a window's fit does not depend on the windows fitted with
+it; fit_window is the one-window call.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -38,7 +41,7 @@ _TC_MARGIN = 1e-6
 _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
-_SCREEN_CHUNK = 4096  # points x window length per screen batch
+_BATCH_ROWS = 4096  # basis rows (points x window length) per batched kernel call
 # tight tolerances keep the stopping scatter below the equivariance
 # tolerances: scaled prices and shifted times land on the same point
 _FATOL = 1e-14
@@ -148,8 +151,9 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, fl
     The one linear solve of calibration: the screen, the descents, the final
     parameters and solve_linear all go through it. dt has shape (..., n) and
     m, omega broadcast against it, so a batch of P points passes dt of shape
-    (P, n) with (P, 1) columns; beta has shape (..., 4) and sse shape (...),
-    a float for 1-D dt. Every row of a batch is bit-identical to its 1-D
+    (P, n) with (P, 1) columns; y is one window's (n,) log-prices or a
+    (P, n) row per point. beta has shape (..., 4) and sse shape (...), a
+    float for 1-D dt. Every row of a batch is bit-identical to its 1-D
     call: stacked matmul runs the same BLAS kernels per row (einsum does not).
     Normal equations, with a minimum-norm lstsq fallback when they are
     singular; the sse is computed from the residuals and is inf when the
@@ -166,14 +170,14 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, fl
     X[..., 3] = pw * np.sin(angle)
     Xt = X.swapaxes(-1, -2)
     try:
-        beta = np.linalg.solve(Xt @ X, (Xt @ y)[..., None])[..., 0]
+        beta = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if X.ndim == 2:
             beta = np.linalg.lstsq(X, y, rcond=None)[0]
         else:
             # one singular row makes solve reject the whole batch: re-solve it row by row
-            rows = zip(*np.broadcast_arrays(dt, m, omega))
-            beta, sse = zip(*(_linear_fit(d, y, mi, oi) for d, mi, oi in rows))
+            rows = zip(*np.broadcast_arrays(dt, y, m, omega))
+            beta, sse = zip(*(_linear_fit(d, yi, mi, oi) for d, yi, mi, oi in rows))
             return np.array(beta), np.array(sse)
     resid = y - (X @ beta[..., None])[..., 0]
     sse = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
@@ -307,63 +311,130 @@ def fit_window(
 
     Deterministic: identical (series, window, config, filters, seed) give a
     bit-identical result. Ties between equal-sse screen points or descents go
-    to the lowest screen index.
+    to the lowest screen index. The one-window call of fit_windows.
     """
-    tt = window.times(series)
-    y = window.log_prices(series)
-    n = len(tt)
-    t2 = window.t2
-    tc_span = filters.tc_horizon * window.length
+    return fit_windows(series, [window], config, filters, [seed])[0]
+
+
+def fit_windows(
+    series: PriceSeries,
+    windows,
+    config: SearchConfig,
+    filters: FilterConfig,
+    seeds,
+) -> list[FitResult]:
+    """fit_window of every window with its seed.
+
+    Windows with the same number of points are fitted together: their
+    descents run in lockstep, and each step scores every live descent's next
+    point in one kernel call. Every result is bit-identical to fit_window on
+    its own window. Raises the FitError of the first window, in the given
+    order, whose descents all fail.
+    """
+    fits = _fit_windows(series, windows, config, filters, seeds)
+    for fit in fits:
+        if isinstance(fit, FitError):
+            raise fit
+    return fits
+
+
+def _equal_n_groups(windows) -> dict[int, list[int]]:
+    """The windows' indices grouped by number of points, in the given order."""
+    groups: dict[int, list[int]] = {}
+    for i, window in enumerate(windows):
+        groups.setdefault(window.n_points, []).append(i)
+    return groups
+
+
+def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
+    """fit_windows with each failed window's FitError in place of its result."""
+    fits = [None] * len(windows)
+    for n, idx in _equal_n_groups(windows).items():
+        # a group's descent step scores at most about _BATCH_ROWS basis rows
+        size = max(1, _BATCH_ROWS // (_DESCENTS * n))
+        for part in (idx[i:i + size] for i in range(0, len(idx), size)):
+            group = _fit_group(series, [windows[i] for i in part], config, filters, [seeds[i] for i in part])
+            for i, fit in zip(part, group):
+                fits[i] = fit
+    return fits
+
+
+def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
+    """Calibration of windows with equal n_points: a screen per window, then all descents in lockstep."""
+    tt = np.stack([w.times(series) for w in windows])
+    y = np.stack([w.log_prices(series) for w in windows])
+    n = tt.shape[1]
+    tc_span = [filters.tc_horizon * w.length for w in windows]
 
     # normalized coordinates: z = (u, m, omega), t_c = t2 + u * tc_span
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
     hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
 
     # scale-invariant normalization so fatol means relative sse
-    y_var = float(np.var(y))
-    scale = y_var * n if y_var > 0 else 1.0
+    scale = [v * n if v > 0 else 1.0 for v in (float(np.var(row)) for row in y)]
 
     # time measured backwards from the window end: invariant under shifting
     # all timestamps, which makes the whole search path translation-exact
-    rev = t2 - tt
+    rev = np.stack([w.t2 - row for w, row in zip(windows, tt)])
 
-    def score(z):
-        """The sse at each row (u, m, omega) of z, in one batched kernel call."""
-        return _linear_fit(z[:, :1] * tc_span + rev, y, z[:, 1:2], z[:, 2:3])[1]
+    # each window's screen, scored in batches of about _BATCH_ROWS basis
+    # rows, which bounds the screen's memory; only its two best points stay
+    rows = max(1, _BATCH_ROWS // n)
+    starts, descents = [], []
+    for w, seed in enumerate(seeds):
+        screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
+        screen_sse = np.concatenate([
+            _linear_fit(z[:, :1] * tc_span[w] + rev[w], y[w], z[:, 1:2], z[:, 2:3])[1]
+            for z in (screen[i:i + rows] for i in range(0, len(screen), rows))
+        ])
+        best = np.argsort(screen_sse / scale[w], kind="stable")[:_DESCENTS]
+        starts.append(best)
+        descents += [(w, _simplex(screen[i], lo, hi, config.max_iter)) for i in best]
 
-    screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
-    # scored in batches of about _SCREEN_CHUNK basis rows, which bounds the screen's memory
-    rows = max(1, _SCREEN_CHUNK // n)
-    screen_sse = np.concatenate([score(screen[i:i + rows]) for i in range(0, len(screen), rows)])
-    starts = np.argsort(screen_sse / scale, kind="stable")[:_DESCENTS]
-
-    # the descents in lockstep: one kernel call scores every live descent's next point
-    descents = [_simplex(screen[i], lo, hi, config.max_iter) for i in starts]
-    points = [next(d) for d in descents]
+    # every descent in lockstep: one kernel call scores each live descent's
+    # next point, on its own window's times and log-prices
+    span, scale_of = np.array(tc_span)[:, None], np.array(scale)
+    points = [next(d) for _, d in descents]
     ends = [None] * len(descents)
     live = list(range(len(descents)))
     while live:
-        for i, f in zip(live, score(np.array([points[i] for i in live])) / scale):
-            try:
-                points[i] = descents[i].send(float(f))
-            except StopIteration as stop:
-                ends[i] = stop.value
+        # the live descents' window rows, gathered again only when a descent ends
+        owner = [descents[i][0] for i in live]
+        span_l, rev_l, y_l, scale_l = span[owner], rev[owner], y[owner], scale_of[owner]
+        while all(ends[i] is None for i in live):
+            z = np.array([points[i] for i in live])
+            sse = _linear_fit(z[:, :1] * span_l + rev_l, y_l, z[:, 1:2], z[:, 2:3])[1]
+            for i, f in zip(live, sse / scale_l):
+                try:
+                    points[i] = descents[i][1].send(float(f))
+                except StopIteration as stop:
+                    ends[i] = stop.value
         live = [i for i in live if ends[i] is None]
 
+    fits = []
+    for w, window in enumerate(windows):
+        own = ends[_DESCENTS * w:_DESCENTS * (w + 1)]
+        fits.append(_finish(window, tt[w], y[w], rev[w], tc_span[w], scale[w], starts[w], own, filters))
+    return fits
+
+
+def _finish(window, tt, y, rev, tc_span, scale, starts, ends, filters) -> FitResult | FitError:
+    """The window's fit from its best finite descent, judged by the filters."""
     finite = [end for end in ends if math.isfinite(end[1])]
     if not finite:
         diagnostics = [
             {"start": int(idx), "sse": f * scale, "converged": converged}
             for idx, (_, f, converged, _) in zip(starts, ends)
         ]
-        raise FitError("every descent failed to produce a finite fit", diagnostics)
+        return FitError(f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]", diagnostics)
     # min keeps the first of equal sse, the descent from the better screen point
     u, m, omega = min(finite, key=lambda end: end[1])[0]
     beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)
     A, B, c1, c2 = (float(v) for v in beta)
-    params = LpplParams.from_linear(t2 + u * tc_span, m, omega, A, B, c1, c2)
+    params = LpplParams.from_linear(window.t2 + u * tc_span, m, omega, A, B, c1, c2)
     line = np.polynomial.polynomial.polyfit(tt - tt[0], y, 1)
     line_resid = y - np.polynomial.polynomial.polyval(tt - tt[0], line)
+    n = len(tt)
     fit = FitResult(
         params=params,
         window=window,

@@ -5,7 +5,6 @@ into a per-date alarm index and an empirical critical-time band.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +16,11 @@ from .calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
+    _equal_n_groups,
+    _fit_windows,
     fit_window,
 )
-from .errors import DomainError, WindowError
+from .errors import DomainError, FitError, WindowError
 from .timeseries import DEFAULT_MIN_WINDOW_POINTS, PriceSeries, slice_window
 
 _N_PARAMS = 7  # t_c, m, omega, phi, A, B, C: a window needs at least this many points
@@ -166,9 +167,46 @@ def _task_seed(base_seed: int, wi: int, di: int) -> int:
     return int(np.random.SeedSequence([base_seed, wi, di]).generate_state(1)[0])
 
 
-def _run_task(args) -> FitResult:
-    series, window, search, filters, seed = args
-    return fit_window(series, window, search, filters, seed)
+# the series of a pooled scan, set once in each worker process by _init_worker
+_worker_series = None
+
+
+def _init_worker(series: PriceSeries) -> None:
+    global _worker_series
+    _worker_series = series
+
+
+def _fit_task(task) -> list:
+    windows, search, filters, seeds = task
+    return _fit_windows(_worker_series, windows, search, filters, seeds)
+
+
+def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list[FitResult]:
+    """Each window's fit, from n_jobs worker processes.
+
+    Windows with the same number of points are fitted together: each group is
+    split into about n_jobs tasks, submitted largest n first. The series goes
+    to each worker once, through the pool initializer. Raises the FitError of
+    the first failing window in the given order.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # kept out of `import lpplscan`
+
+    groups = _equal_n_groups(windows)
+    tasks = []
+    for n in sorted(groups, reverse=True):
+        idx = groups[n]
+        size = math.ceil(len(idx) / config.n_jobs)
+        tasks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    fits = [None] * len(windows)
+    with ProcessPoolExecutor(config.n_jobs, initializer=_init_worker, initargs=(series,)) as pool:
+        args = [([windows[i] for i in task], config.search, config.filters, [seeds[i] for i in task]) for task in tasks]
+        for task, group in zip(tasks, pool.map(_fit_task, args)):
+            for i, fit in zip(task, group):
+                fits[i] = fit
+    for fit in fits:
+        if isinstance(fit, FitError):
+            raise fit
+    return fits
 
 
 def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
@@ -177,12 +215,13 @@ def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
     Pairs whose window would start before the data or hold fewer than
     min_points observations are skipped and counted. Deterministic given the
     seed regardless of n_jobs: each pair owns a seed derived from its grid
-    position.
+    position. A failed fit raises the FitError of the first failing pair in
+    grid order, as the serial scan meets it.
     """
     end_idx = _end_indices(len(series), config.end_every)
     end_dates = tuple(float(series.times[i]) for i in end_idx)
 
-    tasks = []
+    windows, seeds = [], []
     n_skipped = 0
     for di, t2 in enumerate(end_dates):
         for wi, length in enumerate(config.window_lengths):
@@ -191,21 +230,19 @@ def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
                 n_skipped += 1
                 continue
             try:
-                window = slice_window(series, t1, t2, min_points=config.min_points)
+                windows.append(slice_window(series, t1, t2, min_points=config.min_points))
             except WindowError:
                 n_skipped += 1
                 continue
-            seed = _task_seed(config.seed, wi, di)
-            tasks.append((series, window, config.search, config.filters, seed))
+            seeds.append(_task_seed(config.seed, wi, di))
 
-    if not tasks:
+    if not windows:
         raise DomainError("no feasible (window length, end date) pair for this series")
 
     if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool:
-            fits = list(pool.map(_run_task, tasks, chunksize=4))
+        fits = _fit_pooled(series, windows, seeds, config)
     else:
-        fits = [_run_task(t) for t in tasks]
+        fits = [fit_window(series, w, config.search, config.filters, s) for w, s in zip(windows, seeds)]
 
     return ScanResult(fits=tuple(fits), n_skipped=n_skipped, end_dates=end_dates)
 

@@ -118,8 +118,8 @@ def slice_window(
     """Window covering every observation with t1 <= time <= t2."""
     if not t1 < t2:
         raise WindowError(f"window start {t1} must precede end {t2}")
-    start = int(np.searchsorted(series.times, t1, side="left"))
-    stop = int(np.searchsorted(series.times, t2, side="right"))
+    start = int(series.times.searchsorted(t1, side="left"))
+    stop = int(series.times.searchsorted(t2, side="right"))
     n = stop - start
     if n < min_points:
         raise WindowError(

@@ -18,12 +18,13 @@ from lpplscan.calibration import (
     _linear_fit,
     _simplex,
     fit_window,
+    fit_windows,
     oscillation_count,
     qualify,
     sign_of,
     solve_linear,
 )
-from lpplscan.errors import DomainError
+from lpplscan.errors import DomainError, FitError
 from lpplscan.model import LpplParams, lppl_basis, lppl_log_price
 from lpplscan.synth import SynthSpec, generate
 from lpplscan.timeseries import FitWindow, PriceSeries, slice_window
@@ -162,6 +163,26 @@ class TestLinearFit:
             for k, (b1, s1) in enumerate(singles[start:start + 10]):
                 assert np.array_equal(beta[k], b1, equal_nan=True)
                 assert sse[k] == s1
+
+    @pytest.mark.parametrize("n", [30, 200, 750])
+    def test_rows_with_their_own_y_match_single_calls(self, n):
+        # each row on its own window: its own log-prices, time origin and t_c span
+        rng = np.random.default_rng(n + 1)
+        P = 23
+        tt = np.arange(float(n))
+        y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=(P, n)), axis=1)
+        rev = tt[-1] - tt + rng.uniform(0.0, 5.0, size=(P, 1))
+        tc_span = rng.uniform(0.2, 0.8, size=(P, 1)) * (n - 1)
+        z = np.column_stack([rng.uniform(1e-6, 1.0, P), rng.uniform(0.01, 0.99, P), rng.uniform(2.0, 15.0, P)])
+        z[5, 1] = 0.0  # m = 0: a singular row, which sends the batch through the row-by-row fallback
+        dt = z[:, :1] * tc_span + rev
+        singles = [_linear_fit(d, yi, m, omega) for d, yi, (_, m, omega) in zip(dt, y, z)]
+        assert math.isfinite(singles[5][1])
+        for rows in (slice(0, P), slice(6, P)):  # with and without the singular row
+            beta, sse = _linear_fit(dt[rows], y[rows], z[rows, 1:2], z[rows, 2:3])
+            assert beta.shape == (len(z[rows]), 4) and sse.shape == (len(z[rows]),)
+            for k, (b1, s1) in enumerate(singles[rows]):
+                assert np.array_equal(beta[k], b1) and sse[k] == s1
 
 
 class TestLatinHypercube:
@@ -350,6 +371,12 @@ class TestClassifySign:
         assert sign_of(make_fit(p).params.B) == expected
 
 
+def weekday_series(n, seed=0):
+    """An LPPL path of n observations on a weekday-only calendar: weekends are missing."""
+    days = np.array([d for d in range(2 * n) if d % 7 < 5][:n], dtype=float)
+    return PriceSeries(days, lppl_series(noise=0.01, seed=seed, n=n, params=replace(TRUE, t_c=n + 40.0)).prices)
+
+
 class TestFitWindow:
     def test_noiseless_recovery(self):
         s = lppl_series()
@@ -430,6 +457,51 @@ class TestFitWindow:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    # (calendar, window lengths, search); the windows are listed out of grid
+    # order, so fit_windows must form its own groups by n_points
+    CASES = {
+        "daily": ("daily", (60.0, 90.0, 75.0), FAST),
+        "weekday": ("weekday", (44.0, 45.0, 60.0), FAST),
+        # 14 windows of 501 points fill more than one lockstep group
+        "one_start": ("daily", (500.0, 60.0), SearchConfig(n_starts=1, max_iter=20)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_windows_matches_fit_window(self, case):
+        calendar, lengths, search = self.CASES[case]
+        if calendar == "daily":
+            s = lppl_series(noise=0.01, seed=4, n=700, params=replace(TRUE, t_c=740.0))
+        else:
+            s = weekday_series(500, seed=4)
+        ends = s.times[-1:-120:-9]
+        windows = [slice_window(s, t2 - length, t2) for length in lengths for t2 in ends]
+        seeds = [3 * i + 1 for i in range(len(windows))]
+        sizes = [w.n_points for w in windows]
+        assert len(set(sizes)) >= 2 and max(sizes.count(n) for n in sizes) >= 2
+        if calendar == "weekday":  # windows of one length hold different numbers of points
+            assert len({w.n_points for w in windows if w.length == 44.0}) >= 2
+        grouped = fit_windows(s, windows, search, FilterConfig(), seeds)
+        assert [repr(f) for f in grouped] == [
+            repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)
+        ]
+
+    @np.errstate(all="ignore")
+    def test_fit_windows_raises_the_first_failing_window(self):
+        # with m of at least 1000 every basis row of a window longer than about
+        # 2 time units overflows, so all its descents fail; shorter ones fit
+        s = PriceSeries(np.arange(500) * 0.01, np.exp(np.linspace(1.0, 2.0, 500)))
+        filters = FilterConfig(m_range=(1000.0, 1001.0))
+        search = SearchConfig(n_starts=1, max_iter=20)
+        ok, fail_a, fail_b = (slice_window(s, t2 - length, t2) for t2, length in ((4.0, 0.3), (4.0, 3.0), (4.5, 3.0)))
+        assert fit_windows(s, [ok], search, filters, [0])[0].n_points == 31
+        for order, first in (([ok, fail_a, fail_b], fail_a), ([fail_b, ok, fail_a], fail_b)):
+            with pytest.raises(FitError) as grouped:
+                fit_windows(s, order, search, filters, [0, 0, 0])
+            with pytest.raises(FitError) as alone:
+                fit_window(s, first, search, filters)
+            assert str(grouped.value) == str(alone.value) == f"every descent failed to produce a finite fit on [{first.t1}, {first.t2}]"
+            assert grouped.value.diagnostics == alone.value.diagnostics
 
 
 class TestNestingOptimality:

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lpplscan.calibration import FilterConfig, SearchConfig
-from lpplscan.errors import DomainError
+from lpplscan.errors import DomainError, FitError
 from lpplscan.model import GrowthSpec, LpplParams
 from lpplscan.scanner import (
     ScanConfig,
@@ -130,6 +133,50 @@ class TestScanGrid:
             window_lengths=(60.0, 90.0), end_every=100, search=FAST, seed=3, n_jobs=2
         )
         assert scan(s, base).fits == scan(s, par).fits
+        # a weekday-only calendar: windows of one length differ in n_points,
+        # so the pooled scan fits many groups, some of them shared by two lengths
+        days = np.array([d for d in range(196) if d % 7 < 5], dtype=float)
+        weekdays = PriceSeries(days, bubble_series(seed=6).prices)
+        base = ScanConfig(window_lengths=(44.0, 45.0, 60.0), end_every=9, search=FAST, seed=4)
+        serial = scan(weekdays, base)
+        assert len({f.n_points for f in serial.fits if f.window.length == 44.0}) >= 2
+        assert serial.fits == scan(weekdays, replace(base, n_jobs=2)).fits
+
+    def test_pooled_failure_matches_serial(self):
+        # with m of at least 1000 every basis row of a window longer than about
+        # 2 time units overflows, so all its descents fail; 0.3-unit windows fit.
+        # In grid order the first failure is the 2.5-unit window at the first
+        # date that has one; the pool starts with the 3.0-unit group, the largest n
+        s = PriceSeries(np.arange(501) * 0.01, np.exp(np.linspace(1.0, 2.0, 501)))
+        cfg = ScanConfig(
+            window_lengths=(0.3, 2.5, 3.0), end_every=25, search=SearchConfig(n_starts=1, max_iter=20),
+            filters=FilterConfig(m_range=(1000.0, 1001.0)), seed=1,
+        )
+        errors = []
+        for jobs in (1, 2):
+            with np.errstate(all="ignore"), pytest.raises(FitError) as exc:
+                scan(s, replace(cfg, n_jobs=jobs))
+            errors.append((str(exc.value), exc.value.diagnostics))
+        first = min(t2 for t2 in s.times[::-25] if t2 - 2.5 >= 0)
+        assert errors[0][0] == f"every descent failed to produce a finite fit on [{first - 2.5}, {first}]"
+        assert errors[1] == errors[0]
+
+    def test_import_leaves_the_process_pool_out(self):
+        # the pool's modules load only when a scan runs on more than one job
+        code = (
+            "import sys, lpplscan as L\n"
+            "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "s = L.PriceSeries(list(range(60)), [1.0 + 0.01 * i for i in range(60)])\n"
+            "L.report(s, L.ScanConfig(window_lengths=(40.0,), end_every=30, search=L.SearchConfig(n_starts=1, max_iter=5)))\n"
+            "print(loaded())\n"
+        )
+        path = os.pathsep.join(sys.path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["[]", "[]"]
 
     def test_qualified_fraction_peaks_near_tc(self):
         s = bubble_series(seed=2)
