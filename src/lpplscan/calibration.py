@@ -6,7 +6,7 @@ squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
 The Nelder-Mead is an in-house ask/tell simplex (`_simplex`), a bit-exact
 transcription of scipy's bounded one, so numpy is the only run-time
-dependency. fit_windows fits windows with the same number of points
+dependency. _fit_windows fits windows with the same number of points
 together: each window keeps its own screen, scored in bounded batches, and
 the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
@@ -311,45 +311,27 @@ def fit_window(
 
     Deterministic: identical (series, window, config, filters, seed) give a
     bit-identical result. Ties between equal-sse screen points or descents go
-    to the lowest screen index. The one-window call of fit_windows.
+    to the lowest screen index. The one-window call of _fit_windows.
     """
-    return fit_windows(series, [window], config, filters, [seed])[0]
+    fit = _fit_windows(series, [window], config, filters, [seed])[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
 
 
-def fit_windows(
-    series: PriceSeries,
-    windows,
-    config: SearchConfig,
-    filters: FilterConfig,
-    seeds,
-) -> list[FitResult]:
-    """fit_window of every window with its seed.
+def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
+    """fit_window of every window with its seed; a failed window's FitError stands in its place.
 
     Windows with the same number of points are fitted together: their
     descents run in lockstep, and each step scores every live descent's next
     point in one kernel call. Every result is bit-identical to fit_window on
-    its own window. Raises the FitError of the first window, in the given
-    order, whose descents all fail.
+    its own window.
     """
-    fits = _fit_windows(series, windows, config, filters, seeds)
-    for fit in fits:
-        if isinstance(fit, FitError):
-            raise fit
-    return fits
-
-
-def _equal_n_groups(windows) -> dict[int, list[int]]:
-    """The windows' indices grouped by number of points, in the given order."""
     groups: dict[int, list[int]] = {}
     for i, window in enumerate(windows):
         groups.setdefault(window.n_points, []).append(i)
-    return groups
-
-
-def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
-    """fit_windows with each failed window's FitError in place of its result."""
     fits = [None] * len(windows)
-    for n, idx in _equal_n_groups(windows).items():
+    for n, idx in groups.items():
         # a group's descent step scores at most about _BATCH_ROWS basis rows
         size = max(1, _BATCH_ROWS // (_DESCENTS * n))
         for part in (idx[i:i + size] for i in range(0, len(idx), size)):

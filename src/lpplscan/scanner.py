@@ -5,6 +5,7 @@ into a per-date alarm index and an empirical critical-time band.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ from .calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
-    _equal_n_groups,
     _fit_windows,
     fit_window,
 )
@@ -50,8 +50,8 @@ class ScanConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if not self.window_lengths or min(self.window_lengths) <= 0:
-            raise DomainError("window lengths must be nonempty and positive")
+        if not self.window_lengths or not all(math.isfinite(v) and v > 0 for v in self.window_lengths):
+            raise DomainError("window lengths must be nonempty, finite and positive")
         if self.end_every < 1:
             raise DomainError("end_every must be >= 1")
         if self.min_points < _N_PARAMS:
@@ -167,41 +167,26 @@ def _task_seed(base_seed: int, wi: int, di: int) -> int:
     return int(np.random.SeedSequence([base_seed, wi, di]).generate_state(1)[0])
 
 
-# the series of a pooled scan, set once in each worker process by _init_worker
-_worker_series = None
-
-
-def _init_worker(series: PriceSeries) -> None:
-    global _worker_series
-    _worker_series = series
-
-
-def _fit_task(task) -> list:
-    windows, search, filters, seeds = task
-    return _fit_windows(_worker_series, windows, search, filters, seeds)
-
-
 def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list[FitResult]:
-    """Each window's fit, from n_jobs worker processes.
+    """Each window's fit, from k = min(n_jobs, available CPUs, windows) worker processes.
 
-    Windows with the same number of points are fitted together: each group is
-    split into about n_jobs tasks, submitted largest n first. The series goes
-    to each worker once, through the pool initializer. Raises the FitError of
-    the first failing window in the given order.
+    The windows, sorted largest n_points first, are dealt round-robin into one
+    share per worker, so each worker fits about 1/k of every equal-n group in
+    lockstep; the series goes to each worker once, inside its share. Raises
+    the FitError of the first failing window in the given order.
     """
     from concurrent.futures import ProcessPoolExecutor  # kept out of `import lpplscan`
 
-    groups = _equal_n_groups(windows)
-    tasks = []
-    for n in sorted(groups, reverse=True):
-        idx = groups[n]
-        size = math.ceil(len(idx) / config.n_jobs)
-        tasks += [idx[i:i + size] for i in range(0, len(idx), size)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(config.n_jobs, cpus, len(windows))
+    order = sorted(range(len(windows)), key=lambda i: windows[i].n_points, reverse=True)
+    shares = [order[j::k] for j in range(k)]
     fits = [None] * len(windows)
-    with ProcessPoolExecutor(config.n_jobs, initializer=_init_worker, initargs=(series,)) as pool:
-        args = [([windows[i] for i in task], config.search, config.filters, [seeds[i] for i in task]) for task in tasks]
-        for task, group in zip(tasks, pool.map(_fit_task, args)):
-            for i, fit in zip(task, group):
+    with ProcessPoolExecutor(k) as pool:
+        futures = [pool.submit(_fit_windows, series, [windows[i] for i in share], config.search,
+                               config.filters, [seeds[i] for i in share]) for share in shares]
+        for share, future in zip(shares, futures):
+            for i, fit in zip(share, future.result()):
                 fits[i] = fit
     for fit in fits:
         if isinstance(fit, FitError):

@@ -168,6 +168,8 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
         header = next(reader)
     except StopIteration:
         raise CsvFormatError("empty file") from None
+    if header:  # spreadsheets often export a UTF-8 byte-order mark
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     try:
         t_idx = header.index(options.date_column)

@@ -16,9 +16,9 @@ from lpplscan.calibration import (
     SearchConfig,
     _latin_hypercube,
     _linear_fit,
+    _fit_windows,
     _simplex,
     fit_window,
-    fit_windows,
     oscillation_count,
     qualify,
     sign_of,
@@ -459,7 +459,7 @@ class TestFitWindow:
         assert peak < 4e6
 
     # (calendar, window lengths, search); the windows are listed out of grid
-    # order, so fit_windows must form its own groups by n_points
+    # order, so _fit_windows must form its own groups by n_points
     CASES = {
         "daily": ("daily", (60.0, 90.0, 75.0), FAST),
         "weekday": ("weekday", (44.0, 45.0, 60.0), FAST),
@@ -481,27 +481,30 @@ class TestFitWindow:
         assert len(set(sizes)) >= 2 and max(sizes.count(n) for n in sizes) >= 2
         if calendar == "weekday":  # windows of one length hold different numbers of points
             assert len({w.n_points for w in windows if w.length == 44.0}) >= 2
-        grouped = fit_windows(s, windows, search, FilterConfig(), seeds)
+        grouped = _fit_windows(s, windows, search, FilterConfig(), seeds)
         assert [repr(f) for f in grouped] == [
             repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)
         ]
 
     @np.errstate(all="ignore")
-    def test_fit_windows_raises_the_first_failing_window(self):
+    def test_fit_windows_returns_each_failure_in_place(self):
         # with m of at least 1000 every basis row of a window longer than about
         # 2 time units overflows, so all its descents fail; shorter ones fit
         s = PriceSeries(np.arange(500) * 0.01, np.exp(np.linspace(1.0, 2.0, 500)))
         filters = FilterConfig(m_range=(1000.0, 1001.0))
         search = SearchConfig(n_starts=1, max_iter=20)
         ok, fail_a, fail_b = (slice_window(s, t2 - length, t2) for t2, length in ((4.0, 0.3), (4.0, 3.0), (4.5, 3.0)))
-        assert fit_windows(s, [ok], search, filters, [0])[0].n_points == 31
-        for order, first in (([ok, fail_a, fail_b], fail_a), ([fail_b, ok, fail_a], fail_b)):
-            with pytest.raises(FitError) as grouped:
-                fit_windows(s, order, search, filters, [0, 0, 0])
-            with pytest.raises(FitError) as alone:
-                fit_window(s, first, search, filters)
-            assert str(grouped.value) == str(alone.value) == f"every descent failed to produce a finite fit on [{first.t1}, {first.t2}]"
-            assert grouped.value.diagnostics == alone.value.diagnostics
+        for order in ([ok, fail_a, fail_b], [fail_b, ok, fail_a]):
+            grouped = _fit_windows(s, order, search, filters, [0, 0, 0])
+            for window, fit in zip(order, grouped):
+                if window is ok:
+                    assert repr(fit) == repr(fit_window(s, ok, search, filters)) and fit.n_points == 31
+                    continue
+                with pytest.raises(FitError) as alone:
+                    fit_window(s, window, search, filters)
+                assert isinstance(fit, FitError)
+                assert str(fit) == str(alone.value) == f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]"
+                assert fit.diagnostics == alone.value.diagnostics
 
 
 class TestNestingOptimality:

@@ -220,6 +220,14 @@ class TestFit:
         error = one_json_object(err)["error"]
         assert error["type"] == "CsvFormatError" and "UTF-8" in error["message"]
 
+    def test_byte_order_mark_is_dropped(self, bubble_csv, capsys, tmp_path):
+        args = ["fit", "--date-column", "time", "--t1", "0", "--t2", "139", "--filters", "n_starts=2"]
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + bubble_csv.read_bytes())
+        code, out, _ = run(capsys, *args, "--input", str(bom))
+        assert code == 0
+        assert (code, out) == run(capsys, *args, "--input", str(bubble_csv))[:2]
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(
             capsys, "fit", "--input", "/nonexistent.csv", "--t1", "0", "--t2", "100"
@@ -350,6 +358,8 @@ class TestConfig:
             ["--filters", "m_range=0.01,inf"],
             ["--filters", "min_points=0"],
             ["--filters", "min_points=6"],
+            ["--windows", "60,nan"],
+            ["--windows", "60,inf"],
         ],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):

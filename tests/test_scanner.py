@@ -132,7 +132,10 @@ class TestScanGrid:
         par = ScanConfig(
             window_lengths=(60.0, 90.0), end_every=100, search=FAST, seed=3, n_jobs=2
         )
-        assert scan(s, base).fits == scan(s, par).fits
+        serial = scan(s, base).fits
+        assert serial == scan(s, par).fits
+        # fewer windows than jobs
+        assert len(serial) == 2 and serial == scan(s, replace(par, n_jobs=3)).fits
         # a weekday-only calendar: windows of one length differ in n_points,
         # so the pooled scan fits many groups, some of them shared by two lengths
         days = np.array([d for d in range(196) if d % 7 < 5], dtype=float)
@@ -141,6 +144,8 @@ class TestScanGrid:
         serial = scan(weekdays, base)
         assert len({f.n_points for f in serial.fits if f.window.length == 44.0}) >= 2
         assert serial.fits == scan(weekdays, replace(base, n_jobs=2)).fits
+        # more jobs than a 2-core box has CPUs
+        assert serial.fits == scan(weekdays, replace(base, n_jobs=3)).fits
 
     def test_pooled_failure_matches_serial(self):
         # with m of at least 1000 every basis row of a window longer than about
@@ -160,6 +165,40 @@ class TestScanGrid:
         first = min(t2 for t2 in s.times[::-25] if t2 - 2.5 >= 0)
         assert errors[0][0] == f"every descent failed to produce a finite fit on [{first - 2.5}, {first}]"
         assert errors[1] == errors[0]
+
+    def test_pool_is_capped_at_cpus_and_windows(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:
+            # records the pool size and runs each submission in this process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        s = bubble_series(seed=5)
+        cfg = ScanConfig(window_lengths=(60.0, 90.0), end_every=10, search=FAST, seed=3)
+        serial = scan(s, cfg).fits
+        pooled = scan(s, replace(cfg, n_jobs=10_000)).fits
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        assert len(asked) == 1 and 1 <= asked[0] <= min(cpus, len(serial))
+        assert pooled == serial
+        one = replace(cfg, window_lengths=(60.0,), end_every=1000)
+        serial = scan(s, one).fits
+        assert len(serial) == 1 and scan(s, replace(one, n_jobs=10_000)).fits == serial
+        assert asked[1:] == [1]
 
     def test_import_leaves_the_process_pool_out(self):
         # the pool's modules load only when a scan runs on more than one job

@@ -114,6 +114,11 @@ class TestLoadCsv:
         s = load_csv(b"date,price\n1,10\n2,20\n").series
         assert len(s) == 2
 
+    @pytest.mark.parametrize("source", ["\ufeffdate,price\n1,10\n2,20\n", "\ufeffdate,price\n1,10\n2,20\n".encode()])
+    def test_byte_order_mark_is_dropped(self, source):
+        s = load_csv(source).series
+        assert list(s.prices) == [10.0, 20.0]
+
 
 class TestRoundTrip:
     def test_save_load_identity_on_representation(self):
