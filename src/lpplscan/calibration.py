@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, FitError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
@@ -145,6 +146,10 @@ def solve_linear(
     return A, B, c1, c2, sse
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, float | np.ndarray]:
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0, and its sse.
 
@@ -169,8 +174,12 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, fl
     X[..., 2] = cos
     X[..., 3] = pw * np.sin(angle)
     Xt = X.swapaxes(-1, -2)
+    G, b = Xt @ X, Xt @ y[..., None]
     try:
-        beta = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
+        # np.linalg.solve's gufunc without its wrapper: a singular matrix
+        # anywhere in the batch raises LinAlgError, as np.linalg.solve does
+        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            beta = _umath_linalg.solve(G, b, signature="dd->d")[..., 0]
     except np.linalg.LinAlgError:
         if X.ndim == 2:
             beta = np.linalg.lstsq(X, y, rcond=None)[0]
@@ -227,8 +236,10 @@ def _simplex(z0, lo, hi, max_iter: int):
         fsim.append((yield x))
 
     def order():
-        # np.argsort's default kind, whose order of tied values is scipy's
-        ind = np.argsort(fsim).tolist()
+        if len(set(fsim)) == len(fsim) and all(f == f for f in fsim):
+            ind = sorted(range(len(fsim)), key=fsim.__getitem__)
+        else:  # a tie or a NaN: np.argsort's default kind, whose order of tied values is scipy's
+            ind = np.argsort(fsim).tolist()
         return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     sim, fsim = order()
@@ -242,28 +253,28 @@ def _simplex(z0, lo, hi, max_iter: int):
         # the centroid of all but the worst vertex, summed in vertex order
         xbar = [sum(c[1:], c[0]) / N for c in zip(*sim[:-1])]
         worst = sim[-1]
-        xr = clip(2 * c - w for c, w in zip(xbar, worst))  # reflection
+        xr = [min(h, max(l, 2 * c - w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # reflection
         fxr = yield xr
         if fxr < fsim[0]:
-            xe = clip(3 * c - 2 * w for c, w in zip(xbar, worst))  # expansion
+            xe = [min(h, max(l, 3 * c - 2 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # expansion
             fxe = yield xe
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = clip(1.5 * c - 0.5 * w for c, w in zip(xbar, worst))  # outside contraction
+                xc = [min(h, max(l, 1.5 * c - 0.5 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # outside contraction
                 fxc = yield xc
                 accept = fxc <= fxr
             else:
-                xc = clip(0.5 * c + 0.5 * w for c, w in zip(xbar, worst))  # inside contraction
+                xc = [min(h, max(l, 0.5 * c + 0.5 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # inside contraction
                 fxc = yield xc
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # every vertex halfway towards the best
                 for j in range(1, N + 1):
-                    sim[j] = clip(b + 0.5 * (v - b) for v, b in zip(sim[j], best))
+                    sim[j] = [min(h, max(l, b + 0.5 * (v - b))) for v, b, l, h in zip(sim[j], best, lo, hi)]
                     fsim[j] = yield sim[j]
         iterations += 1
         sim, fsim = order()
@@ -386,9 +397,9 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
         while all(ends[i] is None for i in live):
             z = np.array([points[i] for i in live])
             sse = _linear_fit(z[:, :1] * span_l + rev_l, y_l, z[:, 1:2], z[:, 2:3])[1]
-            for i, f in zip(live, sse / scale_l):
+            for i, f in zip(live, (sse / scale_l).tolist()):
                 try:
-                    points[i] = descents[i][1].send(float(f))
+                    points[i] = descents[i][1].send(f)
                 except StopIteration as stop:
                     ends[i] = stop.value
         live = [i for i in live if ends[i] is None]
