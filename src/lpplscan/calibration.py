@@ -3,16 +3,20 @@
 The seven model parameters split into four exactly linear ones (A, B, C1, C2)
 and three nonlinear ones (t_c, m, omega). The linear block is solved by least
 squares inside the objective, so the outer search runs over (t_c, m, omega)
-only: a Latin-hypercube screen, then Nelder-Mead from its two best points.
-The Nelder-Mead is an in-house ask/tell simplex (`_simplex`), a bit-exact
-transcription of scipy's bounded one, so numpy is the only run-time
-dependency. _fit_windows fits windows with the same number of points
+only: a Latin-hypercube screen, then Nelder-Mead from its two best points,
+then a variable-projection Gauss-Newton polish of each descent's end (Golub
+& Pereyra 1973, with Kaufman's 1975 Jacobian). The Nelder-Mead is an
+in-house ask/tell simplex (`_simplex`), a bit-exact transcription of scipy's
+bounded one, so numpy is the only run-time dependency; it stops at loose
+tolerances, and the polish (`_polish`) takes each end to the optimum in a
+few steps. _fit_windows fits windows with the same number of points
 together: each window keeps its own screen, scored in bounded batches, and
 the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
-row of log-prices per point. Every row of a batch is bit-identical to a
-one-point call, so a window's fit does not depend on the windows fitted with
-it; fit_window is the one-window call.
+row of log-prices per point; their ends are then polished in one batch.
+Every row of a batch is bit-identical to a one-point call, so a window's fit
+does not depend on the windows fitted with it; fit_window is the one-window
+call.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -43,10 +47,13 @@ _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
 _BATCH_ROWS = 4096  # basis rows (points x window length) per batched kernel call
-# tight tolerances keep the stopping scatter below the equivariance
-# tolerances: scaled prices and shifted times land on the same point
-_FATOL = 1e-14
-_XATOL = 1e-10
+# the simplex stops once its vertices agree to _XATOL in (u, m, omega) and
+# _FATOL in scaled sse; the Gauss-Newton polish then takes each descent end to
+# the optimum, so scaled prices and shifted times land on the same point
+_FATOL = 1e-9
+_XATOL = 1e-5
+_POLISH_STEPS = 8
+_POLISH_GAIN = 1e-15  # relative sse gain at or below which a polish step ends the row
 
 
 @dataclass(frozen=True)
@@ -75,13 +82,19 @@ class FilterConfig:
             raise DomainError("empty omega range")
         if self.tc_horizon <= 0:
             raise DomainError("tc_horizon must be positive")
+        # thresholds no fit can pass would silently zero every alarm
+        if self.max_rmse is not None and self.max_rmse <= 0:
+            raise DomainError("max_rmse must be positive")
+        if self.min_line_gain is not None and self.min_line_gain >= 1:
+            raise DomainError("min_line_gain must be below 1")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Effort of the (t_c, m, omega) search: a Latin-hypercube screen of
     50 * n_starts points (n_starts <= 10,000), then two Nelder-Mead descents
-    of at most max_iter iterations each, from the screen's two best points.
+    of at most max_iter iterations each, from the screen's two best points,
+    each finished by at most 8 Gauss-Newton steps.
     """
 
     n_starts: int = 20
@@ -153,25 +166,29 @@ def _singular(err, flag):
 def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, float | np.ndarray]:
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0, and its sse.
 
-    The one linear solve of calibration: the screen, the descents, the final
-    parameters and solve_linear all go through it. dt has shape (..., n) and
-    m, omega broadcast against it, so a batch of P points passes dt of shape
-    (P, n) with (P, 1) columns; y is one window's (n,) log-prices or a
-    (P, n) row per point. beta has shape (..., 4) and sse shape (...), a
-    float for 1-D dt. Every row of a batch is bit-identical to its 1-D
-    call: stacked matmul runs the same BLAS kernels per row (einsum does not).
-    Normal equations, with a minimum-norm lstsq fallback when they are
-    singular; the sse is computed from the residuals and is inf when the
+    The one linear solve of calibration: the screen, the descents, the
+    polish, the final parameters and solve_linear all go through it. dt has
+    shape (..., n) and m, omega broadcast against it, so a batch of P points
+    passes dt of shape (P, n) with (P, 1) columns; y is one window's (n,)
+    log-prices or a (P, n) row per point. beta has shape (..., 4) and sse
+    shape (...), a float for 1-D dt. Every row of a batch is bit-identical to
+    its 1-D call: stacked matmul runs the same BLAS kernels per row (einsum
+    does not). Normal equations, with a minimum-norm lstsq fallback when they
+    are singular; the sse is computed from the residuals and is inf when the
     solve is not finite.
     """
+    return _kernel(dt, y, m, omega)[:2]
+
+
+def _kernel(dt, y, m, omega):
+    """_linear_fit's beta and sse, then the log(dt), basis X and residuals it built them from."""
     ldt = np.log(dt)
     pw = np.exp(m * ldt)
     angle = omega * ldt
-    cos = pw * np.cos(angle)
-    X = np.empty(cos.shape + (4,))
+    X = np.empty(pw.shape + (4,))
     X[..., 0] = 1.0
     X[..., 1] = pw
-    X[..., 2] = cos
+    X[..., 2] = pw * np.cos(angle)
     X[..., 3] = pw * np.sin(angle)
     Xt = X.swapaxes(-1, -2)
     G, b = Xt @ X, Xt @ y[..., None]
@@ -186,14 +203,73 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, fl
         else:
             # one singular row makes solve reject the whole batch: re-solve it row by row
             rows = zip(*np.broadcast_arrays(dt, y, m, omega))
-            beta, sse = zip(*(_linear_fit(d, yi, mi, oi) for d, yi, mi, oi in rows))
-            return np.array(beta), np.array(sse)
+            beta = np.array([_kernel(d, yi, mi, oi)[0] for d, yi, mi, oi in rows])
     resid = y - (X @ beta[..., None])[..., 0]
     sse = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
     # a non-finite beta leaves every residual non-finite, so the sse check covers it
     if X.ndim == 2:
-        return beta, float(sse) if math.isfinite(sse) else math.inf
-    return beta, np.where(np.isfinite(sse), sse, math.inf)
+        sse = float(sse) if math.isfinite(sse) else math.inf
+    else:
+        sse = np.where(np.isfinite(sse), sse, math.inf)
+    return beta, sse, ldt, X, resid
+
+
+def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Variable-projection Gauss-Newton from each row's point z = (u, m, omega): the polished points and their sse.
+
+    Row i fits y[i] on the basis at dt = u * span[i] + rev[i]. Each step
+    differentiates the basis at the current beta, D = (dX/d(u, m, omega)) beta,
+    takes Kaufman's Jacobian of the projected residual J = -(D - X solve(G, X'D)),
+    G = X'X, and the Gauss-Newton step -solve(J'J, J'r); a coordinate that step
+    would take out of the box is held at its bound and the others solved again,
+    and the trial point is clipped to the box. A row keeps a step only if its
+    sse falls, and stops at the first refused step, at a singular G or J'J,
+    after a relative gain of at most _POLISH_GAIN or after _POLISH_STEPS steps.
+    Stacked matmul and gufunc solves only, so every row is bit-identical to
+    polishing it alone.
+    """
+    z = z.copy()
+    dt = z[:, :1] * span + rev
+    beta, sse, ldt, X, resid = _kernel(dt, y, z[:, 1:2], z[:, 2:3])
+    live = np.arange(len(z))
+    for _ in range(_POLISH_STEPS):
+        zl, spanl = z[live], span[live]
+        m, omega = zl[:, 1:2], zl[:, 2:3]
+        # the basis columns dt^m, dt^m cos(omega ldt) and dt^m sin(omega ldt)
+        pw, pc, ps = X[..., 1], X[..., 2], X[..., 3]
+        F = beta[:, 1:2] * pw + beta[:, 2:3] * pc + beta[:, 3:4] * ps
+        H = beta[:, 3:4] * pc - beta[:, 2:3] * ps
+        D = np.empty(F.shape + (3,))
+        D[..., 0] = spanl * (m * F + omega * H) / dt
+        D[..., 1] = ldt * F
+        D[..., 2] = ldt * H
+        Xt = X.swapaxes(-1, -2)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+            # a singular matrix leaves its own row NaN, the others untouched
+            J = X @ _umath_linalg.solve(Xt @ X, Xt @ D, signature="dd->d") - D
+            Jt = J.swapaxes(-1, -2)
+            JtJ, g = Jt @ J, -(Jt @ resid[..., None])[..., 0]
+            full = zl + _umath_linalg.solve(JtJ, g[..., None], signature="dd->d")[..., 0]
+            # the rows of J'J for coordinates held at a bound become "move to the bound"
+            held = np.clip(full, lo, hi)
+            out = held != full
+            JtJ = np.where(out[:, :, None], np.eye(3), JtJ)
+            g = np.where(out, held - zl, g)
+            step = _umath_linalg.solve(JtJ, g[..., None], signature="dd->d")[..., 0]
+        ok = np.isfinite(step).all(axis=1)
+        trial = np.clip(zl[ok] + step[ok], lo, hi)
+        rows = live[ok]
+        dt = trial[:, :1] * span[rows] + rev[rows]
+        beta, new, ldt, X, resid = _kernel(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
+        old = sse[rows]
+        better = new < old
+        z[rows[better]], sse[rows[better]] = trial[better], new[better]
+        go = better & (old - new > _POLISH_GAIN * old)
+        live = rows[go]
+        if not live.size:
+            break
+        dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
+    return z, sse
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -318,7 +394,7 @@ def fit_window(
     filters: FilterConfig = FilterConfig(),
     seed: int = 0,
 ) -> FitResult:
-    """Best-sse calibration of the window: seeded screen, then two descents.
+    """Best-sse calibration of the window: seeded screen, two descents, then their polish.
 
     Deterministic: identical (series, window, config, filters, seed) give a
     bit-identical result. Ties between equal-sse screen points or descents go
@@ -403,6 +479,14 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
                 except StopIteration as stop:
                     ends[i] = stop.value
         live = [i for i in live if ends[i] is None]
+
+    # every finite descent end, Gauss-Newton polished in one batch
+    done = [i for i, end in enumerate(ends) if math.isfinite(end[1])]
+    if done:
+        owner = [descents[i][0] for i in done]
+        z, sse = _polish(np.array([ends[i][0] for i in done]), span[owner], rev[owner], y[owner], lo, hi)
+        for i, x, f in zip(done, z.tolist(), (sse / scale_of[owner]).tolist()):
+            ends[i] = (x, f, *ends[i][2:])
 
     fits = []
     for w, window in enumerate(windows):

@@ -102,6 +102,8 @@ class DividendModel:
     g: float  # dividend growth rate, fraction/yr
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.D, self.r, self.g)):
+            raise DomainError("dividend, return and growth must be finite")
         if self.D <= 0:
             raise DomainError("dividend must be positive")
 

@@ -172,22 +172,26 @@ def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list
 
     The windows, sorted largest n_points first, are dealt round-robin into one
     share per worker, so each worker fits about 1/k of every equal-n group in
-    lockstep; the series goes to each worker once, inside its share. Raises
-    the FitError of the first failing window in the given order.
+    lockstep; the series goes to each worker once, inside its share. At k = 1
+    the one share is fitted in this process. Raises the FitError of the first
+    failing window in the given order.
     """
-    from concurrent.futures import ProcessPoolExecutor  # kept out of `import lpplscan`
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(config.n_jobs, cpus, len(windows))
-    order = sorted(range(len(windows)), key=lambda i: windows[i].n_points, reverse=True)
-    shares = [order[j::k] for j in range(k)]
-    fits = [None] * len(windows)
-    with ProcessPoolExecutor(k) as pool:
-        futures = [pool.submit(_fit_windows, series, [windows[i] for i in share], config.search,
-                               config.filters, [seeds[i] for i in share]) for share in shares]
-        for share, future in zip(shares, futures):
-            for i, fit in zip(share, future.result()):
-                fits[i] = fit
+    if k == 1:
+        fits = _fit_windows(series, windows, config.search, config.filters, seeds)
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # kept out of `import lpplscan`
+
+        order = sorted(range(len(windows)), key=lambda i: windows[i].n_points, reverse=True)
+        shares = [order[j::k] for j in range(k)]
+        fits = [None] * len(windows)
+        with ProcessPoolExecutor(k) as pool:
+            futures = [pool.submit(_fit_windows, series, [windows[i] for i in share], config.search,
+                                   config.filters, [seeds[i] for i in share]) for share in shares]
+            for share, future in zip(shares, futures):
+                for i, fit in zip(share, future.result()):
+                    fits[i] = fit
     for fit in fits:
         if isinstance(fit, FitError):
             raise fit

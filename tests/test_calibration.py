@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpplscan import calibration
 from lpplscan.calibration import (
     FilterConfig,
     FitResult,
@@ -17,6 +18,7 @@ from lpplscan.calibration import (
     _latin_hypercube,
     _linear_fit,
     _fit_windows,
+    _polish,
     _simplex,
     fit_window,
     oscillation_count,
@@ -269,7 +271,8 @@ class TestSimplex:
     def test_matches_scipy(self, start, max_iter):
         from scipy.optimize import minimize
 
-        options = {"maxiter": max_iter, "fatol": 1e-14, "xatol": 1e-10}
+        # the reference runs at the simplex's own stopping tolerances
+        options = {"maxiter": max_iter, "fatol": calibration._FATOL, "xatol": calibration._XATOL}
         for name, objective in self.objectives().items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # scipy warns about a start outside the bounds
@@ -298,6 +301,66 @@ class TestSimplex:
                     ends[i] = stop.value
         assert [(end, k) for end, k in zip(ends, nfev)] == solo
         assert solo[0][1] != solo[1][1]  # the descents end at different steps
+
+
+def polish_rows(series, windows, tc_horizon=0.5):
+    """_polish's row inputs for each window: its t_c span, times back from its end and log-prices."""
+    span = np.array([[tc_horizon * w.length] for w in windows])
+    rev = np.stack([w.t2 - w.times(series) for w in windows])
+    return span, rev, np.stack([w.log_prices(series) for w in windows])
+
+
+class TestPolish:
+    LO = np.array([1e-6, 0.01, 2.0])
+    HI = np.array([1.0, 0.99, 15.0])
+
+    def descent_ends(self, n, seed, starts, lo, hi):
+        objective = lppl_objective(n=n, seed=seed)
+        return [drive(_simplex(z, lo, hi, 250), lambda p: float(objective(p[None, :])[0]))[0][0] for z in starts]
+
+    def test_polished_sse_is_at_most_the_descent_end(self):
+        starts = [[0.2, 0.3, 5.0], [0.7, 0.8, 11.0], [0.5, 0.5, 7.0]]
+        gained = 0
+        for n, seed in ((60, 1), (150, 3), (210, 5)):
+            s = lppl_series(noise=0.01, seed=seed, n=n)
+            z = np.array(self.descent_ends(n, seed, starts, self.LO, self.HI))
+            span, rev, y = polish_rows(s, [full_window(s)] * len(z))
+            before = _linear_fit(z[:, :1] * span + rev, y, z[:, 1:2], z[:, 2:3])[1]
+            polished, sse = _polish(z, span, rev, y, self.LO, self.HI)
+            assert np.array_equal(sse, _linear_fit(polished[:, :1] * span + rev, y, polished[:, 1:2], polished[:, 2:3])[1])
+            assert (sse <= before).all()
+            assert ((self.LO <= polished) & (polished <= self.HI)).all()
+            gained += int((sse < before).sum())
+        assert gained > 0
+
+    @pytest.mark.parametrize("m_range", [(0.1, 0.3), (0.7, 0.9)])
+    def test_pinned_fit_stays_in_the_box(self, m_range):
+        # TRUE has m = 0.5, so the best fit in either m range lies on a bound
+        s = lppl_series(noise=0.01, seed=2)
+        w = full_window(s)
+        filters = FilterConfig(m_range=m_range)
+        lo, hi = np.array([1e-6, m_range[0], 2.0]), np.array([1.0, m_range[1], 15.0])
+        z = np.array(self.descent_ends(200, 2, [[0.3, m_range[0] + 0.1, 6.0], [0.6, m_range[1] - 0.1, 9.0]], lo, hi))
+        polished, _ = _polish(z, *polish_rows(s, [w, w]), lo, hi)
+        assert ((lo <= polished) & (polished <= hi)).all()
+        fit = fit_window(s, w, FAST, filters, seed=4)
+        assert fit.params.m in m_range and fit.failures == ("m_in_range",)
+        assert w.t2 < fit.params.t_c <= w.t2 + 0.5 * w.length and 2.0 <= fit.params.omega <= 15.0
+
+    def test_singular_row_stops_only_itself(self):
+        # log-prices of exactly 0 give beta = 0, so D = 0 and J'J = 0: that
+        # window's polish stops at once, the other windows' polish goes on
+        s = lppl_series(noise=0.01, seed=6)
+        prices = s.prices.copy()
+        prices[:80] = 1.0
+        s = PriceSeries(s.times, prices)
+        flat, *others = (slice_window(s, t2 - 50, t2) for t2 in (50, 199, 160, 120))
+        z = np.array([[0.4, 0.5, 7.0], [0.4, 0.5, 7.0]])
+        polished, _ = _polish(z, *polish_rows(s, [flat, others[0]]), self.LO, self.HI)
+        assert np.array_equal(polished[0], z[0]) and not np.array_equal(polished[1], z[1])
+        windows = [others[0], flat, *others[1:]]
+        for window, fit in zip(windows, _fit_windows(s, windows, FAST, FilterConfig(), [1, 2, 3, 4])):
+            assert repr(fit) == repr(fit_window(s, window, FAST, seed=windows.index(window) + 1))
 
 
 class TestQualify:

@@ -52,6 +52,16 @@ class TestPrice:
         assert code == 1
         assert "no finite price" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--dividend", "--return", "--growth"])
+    def test_non_finite_input_is_domain_error(self, capsys, flag, value):
+        values = {"--dividend": "100", "--return": "0.05", "--growth": "0.04", flag: value}
+        code, out, err = run(capsys, "price", *(f"{k}={v}" for k, v in values.items()))
+        assert (code, out) == (1, "")
+        assert one_json_object(err)["error"] == {
+            "type": "DomainError", "message": "dividend, return and growth must be finite"
+        }
+
     def test_missing_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["price", "--dividend", "100"])
@@ -360,6 +370,10 @@ class TestConfig:
             ["--filters", "min_points=6"],
             ["--windows", "60,nan"],
             ["--windows", "60,inf"],
+            ["--filters", "max_rmse=-1"],
+            ["--filters", "max_rmse=0"],
+            ["--filters", "min_line_gain=1"],
+            ["--filters", "min_line_gain=2"],
         ],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):

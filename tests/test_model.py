@@ -170,6 +170,12 @@ class TestGordonShapiro:
         with pytest.raises(DomainError, match="no finite price"):
             gordon_shapiro_price(DividendModel(100, 0.04, 0.04))
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.05, 0.04), (math.inf, 0.05, 0.04), (100, math.nan, 0.04),
+                                      (100, math.inf, 0.04), (100, 0.05, math.nan), (100, 0.05, -math.inf)])
+    def test_non_finite_input(self, args):
+        with pytest.raises(DomainError, match="must be finite"):
+            DividendModel(*args)
+
     def test_return_formula(self):
         assert gordon_shapiro_return(100, 2500, 0.04) == pytest.approx(0.08)
         assert gordon_shapiro_return(100, 5000, 0.04) == pytest.approx(0.06)
