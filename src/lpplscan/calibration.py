@@ -14,9 +14,9 @@ together: each window keeps its own screen, scored in bounded batches, and
 the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
 row of log-prices per point; their ends are then polished in one batch.
-Every row of a batch is bit-identical to a one-point call, so a window's fit
-does not depend on the windows fitted with it; fit_window is the one-window
-call.
+That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
+nothing; every row of a batch is bit-identical to a one-point call, so a
+window's fit does not depend on the windows fitted with it.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -32,7 +32,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, FitError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
-from .model import TWO_PI, LpplParams, lppl_basis  # noqa: F401
+from .model import TWO_PI, LpplParams, _basis, lppl_basis  # noqa: F401
 from .timeseries import FitWindow, PriceSeries
 
 POSITIVE_BUBBLE = "positive_bubble"
@@ -76,10 +76,11 @@ class FilterConfig:
         values = (*self.m_range, *self.omega_range, self.tc_horizon, self.min_oscillations)
         if not all(math.isfinite(v) for v in (*values, self.max_rmse, self.min_line_gain) if v is not None):
             raise DomainError("filter ranges, horizon and thresholds must be finite")
-        if not self.m_range[0] < self.m_range[1]:
-            raise DomainError("empty m range")
-        if not self.omega_range[0] < self.omega_range[1]:
-            raise DomainError("empty omega range")
+        # the basis is singular at m = 0 and at omega = 0
+        if not 0 < self.m_range[0] < self.m_range[1]:
+            raise DomainError("m range must be nonempty and above 0")
+        if not 0 < self.omega_range[0] < self.omega_range[1]:
+            raise DomainError("omega range must be nonempty and above 0")
         if self.tc_horizon <= 0:
             raise DomainError("tc_horizon must be positive")
         # thresholds no fit can pass would silently zero every alarm
@@ -152,66 +153,51 @@ def solve_linear(
     """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse."""
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
-    beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)
+    beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)[:2]
     if not math.isfinite(sse):
         raise FitError(f"linear solve produced non-finite coefficients at t_c={t_c}")
     A, B, c1, c2 = (float(v) for v in beta)
     return A, B, c1, c2, sse
 
 
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
+def _solve(A, b):
+    """np.linalg.solve's gufunc without its wrapper: a singular matrix of the stack leaves only its own x NaN."""
+    return _umath_linalg.solve(A, b, signature="dd->d")
 
 
-def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega) -> tuple[np.ndarray, float | np.ndarray]:
-    """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0, and its sse.
+def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
+    """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
 
     The one linear solve of calibration: the screen, the descents, the
     polish, the final parameters and solve_linear all go through it. dt has
     shape (..., n) and m, omega broadcast against it, so a batch of P points
     passes dt of shape (P, n) with (P, 1) columns; y is one window's (n,)
     log-prices or a (P, n) row per point. beta has shape (..., 4) and sse
-    shape (...), a float for 1-D dt. Every row of a batch is bit-identical to
-    its 1-D call: stacked matmul runs the same BLAS kernels per row (einsum
-    does not). Normal equations, with a minimum-norm lstsq fallback when they
-    are singular; the sse is computed from the residuals and is inf when the
-    solve is not finite.
+    shape (...), a float for 1-D dt. Every row is bit-identical to its 1-D
+    call: stacked matmul runs the same BLAS kernels per row (einsum does not).
+    Normal equations; only a row whose X'X is singular is re-solved, by
+    minimum-norm lstsq. An overflowed basis gets sse inf; nothing warns.
     """
-    return _kernel(dt, y, m, omega)[:2]
+    with np.errstate(all="ignore"):
+        ldt, X = _basis(dt, m, omega)
+        Xt = X.swapaxes(-1, -2)
+        G = Xt @ X
+        beta = _solve(G, Xt @ y[..., None])[..., 0]
+        resid, sse = _residuals(X, y, beta)
+        one = X.ndim == 2  # a one-point sse is a scalar, which math tests without numpy's scalar overhead
+        if not (math.isfinite(sse) if one else np.isfinite(sse).all()):
+            # a singular G left only its own row NaN, re-solved here; a non-finite G is an overflowed basis
+            for i in map(tuple, np.argwhere(~np.isfinite(sse) & np.isfinite(G).all(axis=(-2, -1)))):
+                beta[i] = np.linalg.lstsq(X[i], np.broadcast_to(y, X.shape[:-1])[i], rcond=None)[0]
+            resid, sse = _residuals(X, y, beta)
+            sse = np.where(np.isfinite(sse), sse, math.inf)
+    return beta, float(sse) if one else sse, ldt, X, resid
 
 
-def _kernel(dt, y, m, omega):
-    """_linear_fit's beta and sse, then the log(dt), basis X and residuals it built them from."""
-    ldt = np.log(dt)
-    pw = np.exp(m * ldt)
-    angle = omega * ldt
-    X = np.empty(pw.shape + (4,))
-    X[..., 0] = 1.0
-    X[..., 1] = pw
-    X[..., 2] = pw * np.cos(angle)
-    X[..., 3] = pw * np.sin(angle)
-    Xt = X.swapaxes(-1, -2)
-    G, b = Xt @ X, Xt @ y[..., None]
-    try:
-        # np.linalg.solve's gufunc without its wrapper: a singular matrix
-        # anywhere in the batch raises LinAlgError, as np.linalg.solve does
-        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            beta = _umath_linalg.solve(G, b, signature="dd->d")[..., 0]
-    except np.linalg.LinAlgError:
-        if X.ndim == 2:
-            beta = np.linalg.lstsq(X, y, rcond=None)[0]
-        else:
-            # one singular row makes solve reject the whole batch: re-solve it row by row
-            rows = zip(*np.broadcast_arrays(dt, y, m, omega))
-            beta = np.array([_kernel(d, yi, mi, oi)[0] for d, yi, mi, oi in rows])
+def _residuals(X, y, beta):
+    """y - X beta and its sum of squares, as stacked matmul."""
     resid = y - (X @ beta[..., None])[..., 0]
-    sse = (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
-    # a non-finite beta leaves every residual non-finite, so the sse check covers it
-    if X.ndim == 2:
-        sse = float(sse) if math.isfinite(sse) else math.inf
-    else:
-        sse = np.where(np.isfinite(sse), sse, math.inf)
-    return beta, sse, ldt, X, resid
+    return resid, (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
 def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +216,7 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """
     z = z.copy()
     dt = z[:, :1] * span + rev
-    beta, sse, ldt, X, resid = _kernel(dt, y, z[:, 1:2], z[:, 2:3])
+    beta, sse, ldt, X, resid = _linear_fit(dt, y, z[:, 1:2], z[:, 2:3])
     live = np.arange(len(z))
     for _ in range(_POLISH_STEPS):
         zl, spanl = z[live], span[live]
@@ -244,23 +230,23 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         D[..., 1] = ldt * F
         D[..., 2] = ldt * H
         Xt = X.swapaxes(-1, -2)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        with np.errstate(all="ignore"):
             # a singular matrix leaves its own row NaN, the others untouched
-            J = X @ _umath_linalg.solve(Xt @ X, Xt @ D, signature="dd->d") - D
+            J = X @ _solve(Xt @ X, Xt @ D) - D
             Jt = J.swapaxes(-1, -2)
             JtJ, g = Jt @ J, -(Jt @ resid[..., None])[..., 0]
-            full = zl + _umath_linalg.solve(JtJ, g[..., None], signature="dd->d")[..., 0]
+            full = zl + _solve(JtJ, g[..., None])[..., 0]
             # the rows of J'J for coordinates held at a bound become "move to the bound"
             held = np.clip(full, lo, hi)
             out = held != full
             JtJ = np.where(out[:, :, None], np.eye(3), JtJ)
             g = np.where(out, held - zl, g)
-            step = _umath_linalg.solve(JtJ, g[..., None], signature="dd->d")[..., 0]
+            step = _solve(JtJ, g[..., None])[..., 0]
         ok = np.isfinite(step).all(axis=1)
         trial = np.clip(zl[ok] + step[ok], lo, hi)
         rows = live[ok]
         dt = trial[:, :1] * span[rows] + rev[rows]
-        beta, new, ldt, X, resid = _kernel(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
+        beta, new, ldt, X, resid = _linear_fit(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
         old = sse[rows]
         better = new < old
         z[rows[better]], sse[rows[better]] = trial[better], new[better]
@@ -506,7 +492,7 @@ def _finish(window, tt, y, rev, tc_span, scale, starts, ends, filters) -> FitRes
         return FitError(f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]", diagnostics)
     # min keeps the first of equal sse, the descent from the better screen point
     u, m, omega = min(finite, key=lambda end: end[1])[0]
-    beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)
+    beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)[:2]
     A, B, c1, c2 = (float(v) for v in beta)
     params = LpplParams.from_linear(window.t2 + u * tc_span, m, omega, A, B, c1, c2)
     line = np.polynomial.polynomial.polyfit(tt - tt[0], y, 1)

@@ -115,6 +115,10 @@ def _scan_config(args) -> scanner.ScanConfig:
     raw.update(_parse_kv(args.filters))
     flags = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
     raw.update({key: text for key, text in flags.items() if text is not None})
+    # a command without a key's flag (fit has no --windows, --every, --band, --jobs) rejects the key
+    unused = sorted(key for flag, key in _FLAG_KEYS.items() if key in raw and not hasattr(args, flag))
+    if unused:
+        raise UsageError(f"{args.command} does not use key(s): {', '.join(unused)}")
     values = {"seed": DEFAULT_SEED, **_parse_values(raw, _KEYS)}
 
     def build(cls, **nested):

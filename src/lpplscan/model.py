@@ -79,13 +79,20 @@ def lppl_basis(t_c: float, m: float, omega: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t >= t_c):
         raise DomainError(f"basis undefined at or beyond critical time t_c={t_c}")
-    dt = t_c - t
-    pw = dt**m
-    angle = omega * np.log(dt)
-    basis = np.stack(
-        [np.ones_like(dt), pw, pw * np.cos(angle), pw * np.sin(angle)], axis=-1
-    )
-    return basis
+    return _basis(t_c - t, m, omega)[1]
+
+
+def _basis(dt, m, omega):
+    """ln(dt) and the basis at dt = tc - t > 0 along a new last axis: the one place its columns are built."""
+    ldt = np.log(dt)
+    pw = np.exp(m * ldt)
+    angle = omega * ldt
+    X = np.empty(pw.shape + (4,))
+    X[..., 0] = 1.0
+    X[..., 1] = pw
+    X[..., 2] = pw * np.cos(angle)
+    X[..., 3] = pw * np.sin(angle)
+    return ldt, X
 
 
 def scaling_ratio(omega: float) -> float:

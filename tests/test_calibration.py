@@ -122,7 +122,7 @@ class TestLinearFit:
         tt = np.arange(float(n))
         y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
         t2, tc_span = tt[-1], 0.5 * (n - 1)
-        beta, sse = _linear_fit(u * tc_span + (t2 - tt), y, m, omega)
+        beta, sse = _linear_fit(u * tc_span + (t2 - tt), y, m, omega)[:2]
         X = lppl_basis(t2 + u * tc_span, m, omega, tt)
         ref, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ ref
@@ -141,11 +141,10 @@ class TestLinearFit:
         hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
         z = lo + _latin_hypercube(37, 3, n) * (hi - lo)
         z[3, 1] = 0.0  # m = 0: the constant and power-law columns coincide, X^T X is singular
-        z[25, 2] = np.inf  # a non-finite basis
-        with np.errstate(invalid="ignore"):
-            singles = [_linear_fit(u * tc_span + rev, y, m, omega) for u, m, omega in z]
+        z[6, 2] = np.inf  # a non-finite basis, in the singular row's batch
+        singles = [_linear_fit(u * tc_span + rev, y, m, omega)[:2] for u, m, omega in z]
         assert all(type(sse) is float for _, sse in singles)
-        assert math.isfinite(singles[3][1]) and singles[25][1] == math.inf
+        assert math.isfinite(singles[3][1]) and singles[6][1] == math.inf
         # the 1-D call keeps plain 2-D BLAS arithmetic: normal equations and r @ r
         for (u, m, omega), (b1, s1) in zip(z, singles):
             if m == 0.0 or omega == np.inf:
@@ -156,15 +155,27 @@ class TestLinearFit:
             ref = np.linalg.solve(X.T @ X, X.T @ y)
             resid = y - X @ ref
             assert np.array_equal(b1, ref) and s1 == float(resid @ resid)
-        # batches of 10 leave a last batch of 7; the first holds the singular row
+        # batches of 10 leave a last batch of 7; the first holds the singular and the overflowed row
         for start in range(0, len(z), 10):
             rows = z[start:start + 10]
-            with np.errstate(invalid="ignore"):
-                beta, sse = _linear_fit(rows[:, :1] * tc_span + rev, y, rows[:, 1:2], rows[:, 2:3])
+            beta, sse, _, X, _ = _linear_fit(rows[:, :1] * tc_span + rev, y, rows[:, 1:2], rows[:, 2:3])
             assert beta.shape == (len(rows), 4) and sse.shape == (len(rows),)
             for k, (b1, s1) in enumerate(singles[start:start + 10]):
                 assert np.array_equal(beta[k], b1, equal_nan=True)
                 assert sse[k] == s1
+            if start == 0:
+                # only the singular row is re-solved, by minimum-norm least squares on its own basis
+                assert np.array_equal(beta[3], np.linalg.lstsq(X[3], y, rcond=None)[0])
+                assert np.isnan(beta[6]).all() and sse[6] == math.inf
+
+    def test_basis_is_lppl_basis(self):
+        # the kernel and lppl_basis build the basis in one place: the same bits
+        tt = np.arange(300.0)
+        y = np.zeros_like(tt)
+        for t_c, m, omega in [(300.0, 0.5, 6.28), (310.5, 0.01, 2.0), (449.0, 0.99, 15.0), (300.25, 0.37, 9.1)]:
+            X = _linear_fit(t_c - tt, y, m, omega)[3]
+            assert np.array_equal(X, lppl_basis(t_c, m, omega, tt))
+            assert np.array_equal(X[17], lppl_basis(t_c, m, omega, tt[17]))
 
     @pytest.mark.parametrize("n", [30, 200, 750])
     def test_rows_with_their_own_y_match_single_calls(self, n):
@@ -176,12 +187,12 @@ class TestLinearFit:
         rev = tt[-1] - tt + rng.uniform(0.0, 5.0, size=(P, 1))
         tc_span = rng.uniform(0.2, 0.8, size=(P, 1)) * (n - 1)
         z = np.column_stack([rng.uniform(1e-6, 1.0, P), rng.uniform(0.01, 0.99, P), rng.uniform(2.0, 15.0, P)])
-        z[5, 1] = 0.0  # m = 0: a singular row, which sends the batch through the row-by-row fallback
+        z[5, 1] = 0.0  # m = 0: a singular row, which the kernel re-solves on its own
         dt = z[:, :1] * tc_span + rev
-        singles = [_linear_fit(d, yi, m, omega) for d, yi, (_, m, omega) in zip(dt, y, z)]
+        singles = [_linear_fit(d, yi, m, omega)[:2] for d, yi, (_, m, omega) in zip(dt, y, z)]
         assert math.isfinite(singles[5][1])
         for rows in (slice(0, P), slice(6, P)):  # with and without the singular row
-            beta, sse = _linear_fit(dt[rows], y[rows], z[rows, 1:2], z[rows, 2:3])
+            beta, sse = _linear_fit(dt[rows], y[rows], z[rows, 1:2], z[rows, 2:3])[:2]
             assert beta.shape == (len(z[rows]), 4) and sse.shape == (len(z[rows]),)
             for k, (b1, s1) in enumerate(singles[rows]):
                 assert np.array_equal(beta[k], b1) and sse[k] == s1
@@ -549,7 +560,15 @@ class TestFitWindow:
             repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)
         ]
 
-    @np.errstate(all="ignore")
+    def test_overflowed_box_fails_without_warnings(self):
+        # every basis row overflows: the kernel turns it into an inf sse, silently
+        s = PriceSeries(np.arange(500) * 0.01, np.exp(np.linspace(1.0, 2.0, 500)))
+        window = slice_window(s, 1.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError):
+                fit_window(s, window, SearchConfig(n_starts=1, max_iter=20), FilterConfig(m_range=(1000.0, 1001.0)))
+
     def test_fit_windows_returns_each_failure_in_place(self):
         # with m of at least 1000 every basis row of a window longer than about
         # 2 time units overflows, so all its descents fail; shorter ones fit

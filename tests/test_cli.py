@@ -374,6 +374,10 @@ class TestConfig:
             ["--filters", "max_rmse=0"],
             ["--filters", "min_line_gain=1"],
             ["--filters", "min_line_gain=2"],
+            ["--filters", "m_range=-2,0.5"],
+            ["--filters", "m_range=0,0.5"],
+            ["--filters", "omega_range=-15,-2"],
+            ["--filters", "omega_range=0,15"],
         ],
     )
     def test_out_of_range_value_is_domain_error(self, bubble_csv, tmp_path, capsys, extra):
@@ -388,6 +392,25 @@ class TestConfig:
         )
         assert code == 1
         assert one_json_object(err)["error"]["message"] == "seed must be >= 0"
+
+    def test_fit_rejects_scan_only_filter_keys(self, bubble_csv, capsys):
+        code, out, err = run(
+            capsys, "fit", "--input", str(bubble_csv), "--date-column", "time", "--t1", "0", "--t2", "139",
+            "--filters", "n_starts=2", "end_every=3", "n_jobs=4", "band=0.2,0.8", "window_lengths=5",
+        )
+        assert (code, out) == (2, "")
+        error = one_json_object(err)["error"]
+        assert error == {"type": "usage", "message": "fit does not use key(s): band, end_every, n_jobs, window_lengths"}
+
+    def test_fit_rejects_scan_only_config_file_keys(self, bubble_csv, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("n_starts = 2\nwindow_lengths = 60,90\n")
+        code, out, err = run(
+            capsys, "fit", "--input", str(bubble_csv), "--date-column", "time", "--t1", "0", "--t2", "139",
+            "--config", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert one_json_object(err)["error"] == {"type": "usage", "message": "fit does not use key(s): window_lengths"}
 
     def test_min_line_gain_reaches_the_filters(self, bubble_csv, capsys):
         args = ["fit", "--input", str(bubble_csv), "--date-column", "time",

@@ -159,7 +159,7 @@ class TestScanGrid:
         )
         errors = []
         for jobs in (1, 2):
-            with np.errstate(all="ignore"), pytest.raises(FitError) as exc:
+            with pytest.raises(FitError) as exc:
                 scan(s, replace(cfg, n_jobs=jobs))
             errors.append((str(exc.value), exc.value.diagnostics))
         first = min(t2 for t2 in s.times[::-25] if t2 - 2.5 >= 0)
