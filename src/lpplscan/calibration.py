@@ -13,7 +13,8 @@ few steps. _fit_windows fits windows with the same number of points
 together: each window keeps its own screen, scored in bounded batches, and
 the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
-row of log-prices per point; their ends are then polished in one batch.
+row of log-prices per point; their ends are then polished in one batch, and
+the polish's solve at a window's best end is its fit.
 That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
 nothing; every row of a batch is bit-identical to a one-point call, so a
 window's fit does not depend on the windows fitted with it.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, WindowError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
 from .model import TWO_PI, LpplParams, _basis, lppl_basis  # noqa: F401
 from .timeseries import FitWindow, PriceSeries
@@ -43,6 +44,7 @@ NO_SIGN = "none"
 # basis log term stays finite at the last observation
 _TC_MARGIN = 1e-6
 
+_N_PARAMS = 7  # t_c, m, omega, phi, A, B, C: a window needs at least this many points
 _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
@@ -150,7 +152,11 @@ def solve_linear(
     m: float,
     omega: float,
 ) -> tuple[float, float, float, float, float]:
-    """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse."""
+    """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse.
+
+    A window whose [start, stop) is not inside the series is a WindowError.
+    """
+    _check_inside(series, window)
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
     beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)[:2]
@@ -158,6 +164,11 @@ def solve_linear(
         raise FitError(f"linear solve produced non-finite coefficients at t_c={t_c}")
     A, B, c1, c2 = (float(v) for v in beta)
     return A, B, c1, c2, sse
+
+
+def _check_inside(series: PriceSeries, window: FitWindow) -> None:
+    if window.start < 0 or window.stop > len(series):
+        raise WindowError(f"window [{window.start}, {window.stop}) is not inside the series' {len(series)} observations")
 
 
 def _solve(A, b):
@@ -169,7 +180,7 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
 
     The one linear solve of calibration: the screen, the descents, the
-    polish, the final parameters and solve_linear all go through it. dt has
+    polish (whose solve is the fit) and solve_linear all go through it. dt has
     shape (..., n) and m, omega broadcast against it, so a batch of P points
     passes dt of shape (P, n) with (P, 1) columns; y is one window's (n,)
     log-prices or a (P, n) row per point. beta has shape (..., 4) and sse
@@ -200,8 +211,8 @@ def _residuals(X, y, beta):
     return resid, (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
-def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Variable-projection Gauss-Newton from each row's point z = (u, m, omega): the polished points and their sse.
+def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variable-projection Gauss-Newton from each row's point z = (u, m, omega): the polished points, their sse and beta.
 
     Row i fits y[i] on the basis at dt = u * span[i] + rev[i]. Each step
     differentiates the basis at the current beta, D = (dX/d(u, m, omega)) beta,
@@ -211,12 +222,14 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     and the trial point is clipped to the box. A row keeps a step only if its
     sse falls, and stops at the first refused step, at a singular G or J'J,
     after a relative gain of at most _POLISH_GAIN or after _POLISH_STEPS steps.
-    Stacked matmul and gufunc solves only, so every row is bit-identical to
-    polishing it alone.
+    The sse and beta of a row are those of _linear_fit at its kept point,
+    which is the whole fit there. Stacked matmul and gufunc solves only, so
+    every row is bit-identical to polishing it alone.
     """
     z = z.copy()
     dt = z[:, :1] * span + rev
     beta, sse, ldt, X, resid = _linear_fit(dt, y, z[:, 1:2], z[:, 2:3])
+    kept = beta.copy()
     live = np.arange(len(z))
     for _ in range(_POLISH_STEPS):
         zl, spanl = z[live], span[live]
@@ -249,13 +262,13 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         beta, new, ldt, X, resid = _linear_fit(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
         old = sse[rows]
         better = new < old
-        z[rows[better]], sse[rows[better]] = trial[better], new[better]
+        z[rows[better]], sse[rows[better]], kept[rows[better]] = trial[better], new[better], beta[better]
         go = better & (old - new > _POLISH_GAIN * old)
         live = rows[go]
         if not live.size:
             break
         dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
-    return z, sse
+    return z, sse, kept
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -384,8 +397,14 @@ def fit_window(
 
     Deterministic: identical (series, window, config, filters, seed) give a
     bit-identical result. Ties between equal-sse screen points or descents go
-    to the lowest screen index. The one-window call of _fit_windows.
+    to the lowest screen index. The one-window call of _fit_windows. A window
+    outside the series, or of fewer than 7 points (the LPPL parameters), is a
+    WindowError.
     """
+    _check_inside(series, window)
+    if window.n_points < _N_PARAMS:
+        raise WindowError(f"window [{window.t1}, {window.t2}] holds {window.n_points} points, "
+                          f"fewer than the {_N_PARAMS} LPPL parameters")
     fit = _fit_windows(series, [window], config, filters, [seed])[0]
     if isinstance(fit, FitError):
         raise fit
@@ -419,14 +438,14 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     tt = np.stack([w.times(series) for w in windows])
     y = np.stack([w.log_prices(series) for w in windows])
     n = tt.shape[1]
-    tc_span = [filters.tc_horizon * w.length for w in windows]
 
-    # normalized coordinates: z = (u, m, omega), t_c = t2 + u * tc_span
+    # normalized coordinates: z = (u, m, omega), t_c = t2 + u * span
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
     hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
+    span = np.array([[filters.tc_horizon * w.length] for w in windows])
 
     # scale-invariant normalization so fatol means relative sse
-    scale = [v * n if v > 0 else 1.0 for v in (float(np.var(row)) for row in y)]
+    scale = np.array([v * n if v > 0 else 1.0 for v in (float(np.var(row)) for row in y)])
 
     # time measured backwards from the window end: invariant under shifting
     # all timestamps, which makes the whole search path translation-exact
@@ -439,73 +458,67 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     for w, seed in enumerate(seeds):
         screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
         screen_sse = np.concatenate([
-            _linear_fit(z[:, :1] * tc_span[w] + rev[w], y[w], z[:, 1:2], z[:, 2:3])[1]
+            _linear_fit(z[:, :1] * span[w] + rev[w], y[w], z[:, 1:2], z[:, 2:3])[1]
             for z in (screen[i:i + rows] for i in range(0, len(screen), rows))
         ])
         best = np.argsort(screen_sse / scale[w], kind="stable")[:_DESCENTS]
-        starts.append(best)
-        descents += [(w, _simplex(screen[i], lo, hi, config.max_iter)) for i in best]
+        starts += best.tolist()
+        descents += [_simplex(screen[i], lo, hi, config.max_iter) for i in best]
+    owner = np.repeat(np.arange(len(windows)), _DESCENTS)  # descent i belongs to window owner[i]
 
     # every descent in lockstep: one kernel call scores each live descent's
     # next point, on its own window's times and log-prices
-    span, scale_of = np.array(tc_span)[:, None], np.array(scale)
-    points = [next(d) for _, d in descents]
+    points = [next(d) for d in descents]
     ends = [None] * len(descents)
     live = list(range(len(descents)))
     while live:
         # the live descents' window rows, gathered again only when a descent ends
-        owner = [descents[i][0] for i in live]
-        span_l, rev_l, y_l, scale_l = span[owner], rev[owner], y[owner], scale_of[owner]
+        own = owner[live]
+        span_l, rev_l, y_l, scale_l = span[own], rev[own], y[own], scale[own]
         while all(ends[i] is None for i in live):
             z = np.array([points[i] for i in live])
             sse = _linear_fit(z[:, :1] * span_l + rev_l, y_l, z[:, 1:2], z[:, 2:3])[1]
             for i, f in zip(live, (sse / scale_l).tolist()):
                 try:
-                    points[i] = descents[i][1].send(f)
+                    points[i] = descents[i].send(f)
                 except StopIteration as stop:
                     ends[i] = stop.value
         live = [i for i in live if ends[i] is None]
 
-    # every finite descent end, Gauss-Newton polished in one batch
-    done = [i for i, end in enumerate(ends) if math.isfinite(end[1])]
-    if done:
-        owner = [descents[i][0] for i in done]
-        z, sse = _polish(np.array([ends[i][0] for i in done]), span[owner], rev[owner], y[owner], lo, hi)
-        for i, x, f in zip(done, z.tolist(), (sse / scale_of[owner]).tolist()):
-            ends[i] = (x, f, *ends[i][2:])
+    # every finite descent end, Gauss-Newton polished in one batch; the
+    # polish's solve at its point is that descent's fit
+    z = np.array([end[0] for end in ends])
+    done = np.isfinite([end[1] for end in ends])
+    f, sse, beta = np.full(len(ends), math.inf), np.full(len(ends), math.nan), np.full((len(ends), 4), math.nan)
+    if done.any():
+        own = owner[done]
+        z[done], sse[done], beta[done] = _polish(z[done], span[own], rev[own], y[own], lo, hi)
+        f[done] = sse[done] / scale[own]
 
     fits = []
     for w, window in enumerate(windows):
-        own = ends[_DESCENTS * w:_DESCENTS * (w + 1)]
-        fits.append(_finish(window, tt[w], y[w], rev[w], tc_span[w], scale[w], starts[w], own, filters))
+        own = slice(_DESCENTS * w, _DESCENTS * (w + 1))
+        if not done[own].any():
+            diagnostics = [{"start": i, "sse": end[1], "converged": end[2]} for i, end in zip(starts[own], ends[own])]
+            message = f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]"
+            fits.append(FitError(message, diagnostics))
+            continue
+        # argmin keeps the first of equal scaled sse, the descent from the better screen point
+        k = own.start + int(np.argmin(f[own]))
+        u, m, omega = z[k].tolist()
+        A, B, c1, c2 = beta[k].tolist()
+        params = LpplParams.from_linear(window.t2 + u * float(span[w, 0]), m, omega, A, B, c1, c2)
+        line = np.polynomial.polynomial.polyfit(tt[w] - tt[w, 0], y[w], 1)
+        line_resid = y[w] - np.polynomial.polynomial.polyval(tt[w] - tt[w, 0], line)
+        fit = FitResult(
+            params=params,
+            window=window,
+            sse=float(sse[k]),
+            rmse=math.sqrt(sse[k] / n),
+            n_points=n,
+            qualified=False,
+            sign=sign_of(B),
+            sse_line=float(line_resid @ line_resid),
+        )
+        fits.append(qualify(fit, filters))
     return fits
-
-
-def _finish(window, tt, y, rev, tc_span, scale, starts, ends, filters) -> FitResult | FitError:
-    """The window's fit from its best finite descent, judged by the filters."""
-    finite = [end for end in ends if math.isfinite(end[1])]
-    if not finite:
-        diagnostics = [
-            {"start": int(idx), "sse": f * scale, "converged": converged}
-            for idx, (_, f, converged, _) in zip(starts, ends)
-        ]
-        return FitError(f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]", diagnostics)
-    # min keeps the first of equal sse, the descent from the better screen point
-    u, m, omega = min(finite, key=lambda end: end[1])[0]
-    beta, sse = _linear_fit(u * tc_span + rev, y, m, omega)[:2]
-    A, B, c1, c2 = (float(v) for v in beta)
-    params = LpplParams.from_linear(window.t2 + u * tc_span, m, omega, A, B, c1, c2)
-    line = np.polynomial.polynomial.polyfit(tt - tt[0], y, 1)
-    line_resid = y - np.polynomial.polynomial.polyval(tt - tt[0], line)
-    n = len(tt)
-    fit = FitResult(
-        params=params,
-        window=window,
-        sse=sse,
-        rmse=math.sqrt(sse / n),
-        n_points=n,
-        qualified=False,
-        sign=sign_of(B),
-        sse_line=float(line_resid @ line_resid),
-    )
-    return qualify(fit, filters)

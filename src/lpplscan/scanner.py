@@ -17,13 +17,12 @@ from .calibration import (
     FilterConfig,
     FitResult,
     SearchConfig,
+    _N_PARAMS,
     _fit_windows,
     fit_window,
 )
 from .errors import DomainError, FitError, WindowError
 from .timeseries import DEFAULT_MIN_WINDOW_POINTS, PriceSeries, slice_window
-
-_N_PARAMS = 7  # t_c, m, omega, phi, A, B, C: a window needs at least this many points
 
 
 def default_window_ladder(

@@ -26,7 +26,7 @@ from lpplscan.calibration import (
     sign_of,
     solve_linear,
 )
-from lpplscan.errors import DomainError, FitError
+from lpplscan.errors import DomainError, FitError, WindowError
 from lpplscan.model import LpplParams, lppl_basis, lppl_log_price
 from lpplscan.synth import SynthSpec, generate
 from lpplscan.timeseries import FitWindow, PriceSeries, slice_window
@@ -100,6 +100,12 @@ class TestSolveLinear:
         w = full_window(s)
         with pytest.raises(DomainError):
             solve_linear(s, w, w.t2, 0.5, 6.0)
+
+    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500)])
+    def test_window_outside_the_series_is_window_error(self, start, stop):
+        s = lppl_series(n=120)
+        with pytest.raises(WindowError, match="not inside"):
+            solve_linear(s, FitWindow(60.0, 119.0, start, stop), 130.0, 0.5, 6.0)
 
 
 class TestLinearFit:
@@ -337,8 +343,10 @@ class TestPolish:
             z = np.array(self.descent_ends(n, seed, starts, self.LO, self.HI))
             span, rev, y = polish_rows(s, [full_window(s)] * len(z))
             before = _linear_fit(z[:, :1] * span + rev, y, z[:, 1:2], z[:, 2:3])[1]
-            polished, sse = _polish(z, span, rev, y, self.LO, self.HI)
-            assert np.array_equal(sse, _linear_fit(polished[:, :1] * span + rev, y, polished[:, 1:2], polished[:, 2:3])[1])
+            polished, sse, beta = _polish(z, span, rev, y, self.LO, self.HI)
+            # the returned sse and beta are the solve at the kept point, bit for bit
+            at = _linear_fit(polished[:, :1] * span + rev, y, polished[:, 1:2], polished[:, 2:3])
+            assert np.array_equal(sse, at[1]) and np.array_equal(beta, at[0])
             assert (sse <= before).all()
             assert ((self.LO <= polished) & (polished <= self.HI)).all()
             gained += int((sse < before).sum())
@@ -352,7 +360,7 @@ class TestPolish:
         filters = FilterConfig(m_range=m_range)
         lo, hi = np.array([1e-6, m_range[0], 2.0]), np.array([1.0, m_range[1], 15.0])
         z = np.array(self.descent_ends(200, 2, [[0.3, m_range[0] + 0.1, 6.0], [0.6, m_range[1] - 0.1, 9.0]], lo, hi))
-        polished, _ = _polish(z, *polish_rows(s, [w, w]), lo, hi)
+        polished, *_ = _polish(z, *polish_rows(s, [w, w]), lo, hi)
         assert ((lo <= polished) & (polished <= hi)).all()
         fit = fit_window(s, w, FAST, filters, seed=4)
         assert fit.params.m in m_range and fit.failures == ("m_in_range",)
@@ -367,7 +375,7 @@ class TestPolish:
         s = PriceSeries(s.times, prices)
         flat, *others = (slice_window(s, t2 - 50, t2) for t2 in (50, 199, 160, 120))
         z = np.array([[0.4, 0.5, 7.0], [0.4, 0.5, 7.0]])
-        polished, _ = _polish(z, *polish_rows(s, [flat, others[0]]), self.LO, self.HI)
+        polished, *_ = _polish(z, *polish_rows(s, [flat, others[0]]), self.LO, self.HI)
         assert np.array_equal(polished[0], z[0]) and not np.array_equal(polished[1], z[1])
         windows = [others[0], flat, *others[1:]]
         for window, fit in zip(windows, _fit_windows(s, windows, FAST, FilterConfig(), [1, 2, 3, 4])):
@@ -479,6 +487,19 @@ class TestFitWindow:
         a = fit_window(s, w, FAST, seed=5)
         b = fit_window(s, w, FAST, seed=5)
         assert a == b
+
+    def test_window_below_the_parameter_count_is_window_error(self):
+        # 5 points fit 7 parameters exactly: the fit would be a qualified bubble of sse ~1e-27
+        s = lppl_series(noise=0.01, seed=5, n=120)
+        window = slice_window(s, 115.0, 119.0, min_points=2)
+        with pytest.raises(WindowError, match="fewer than the 7 LPPL parameters"):
+            fit_window(s, window, SearchConfig(n_starts=2, max_iter=50))
+
+    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500)])
+    def test_window_outside_the_series_is_window_error(self, start, stop):
+        s = lppl_series(noise=0.01, seed=5, n=120)
+        with pytest.raises(WindowError, match="not inside"):
+            fit_window(s, FitWindow(60.0, 119.0, start, stop), SearchConfig(n_starts=2, max_iter=50))
 
     def test_different_seed_may_differ_but_both_good(self):
         s = lppl_series(noise=0.01, seed=3)
