@@ -34,7 +34,7 @@ from numpy.linalg import _umath_linalg
 from .errors import DomainError, FitError, WindowError
 # benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
 from .model import TWO_PI, LpplParams, _basis, lppl_basis  # noqa: F401
-from .timeseries import FitWindow, PriceSeries
+from .timeseries import FitWindow, PriceSeries, slice_window
 
 POSITIVE_BUBBLE = "positive_bubble"
 NEGATIVE_BUBBLE = "negative_bubble"
@@ -154,9 +154,10 @@ def solve_linear(
 ) -> tuple[float, float, float, float, float]:
     """Least-squares (A, B, C1, C2) of log-price on the model basis, plus sse.
 
-    A window whose [start, stop) is not inside the series is a WindowError.
+    The window must be the one slice_window resolves from its [t1, t2], of
+    at least 7 points (the LPPL parameters); any other is a WindowError.
     """
-    _check_inside(series, window)
+    _check_window(series, window)
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
     beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)[:2]
@@ -166,9 +167,15 @@ def solve_linear(
     return A, B, c1, c2, sse
 
 
-def _check_inside(series: PriceSeries, window: FitWindow) -> None:
-    if window.start < 0 or window.stop > len(series):
-        raise WindowError(f"window [{window.start}, {window.stop}) is not inside the series' {len(series)} observations")
+def _check_window(series: PriceSeries, window: FitWindow) -> None:
+    """WindowError unless slice_window resolves [t1, t2] to the window's own [start, stop) of >= _N_PARAMS points."""
+    if window.n_points < _N_PARAMS:
+        raise WindowError(f"window [{window.t1}, {window.t2}] holds {window.n_points} points, "
+                          f"fewer than the {_N_PARAMS} LPPL parameters")
+    resolved = slice_window(series, window.t1, window.t2, min_points=_N_PARAMS)
+    if (resolved.start, resolved.stop) != (window.start, window.stop):
+        raise WindowError(f"window [{window.start}, {window.stop}) is not inside [{window.t1}, {window.t2}] or misses "
+                          f"observations there, which are [{resolved.start}, {resolved.stop})")
 
 
 def _solve(A, b):
@@ -397,14 +404,11 @@ def fit_window(
 
     Deterministic: identical (series, window, config, filters, seed) give a
     bit-identical result. Ties between equal-sse screen points or descents go
-    to the lowest screen index. The one-window call of _fit_windows. A window
-    outside the series, or of fewer than 7 points (the LPPL parameters), is a
-    WindowError.
+    to the lowest screen index. The one-window call of _fit_windows. The
+    window must be the one slice_window resolves from its [t1, t2], of at
+    least 7 points (the LPPL parameters); any other is a WindowError.
     """
-    _check_inside(series, window)
-    if window.n_points < _N_PARAMS:
-        raise WindowError(f"window [{window.t1}, {window.t2}] holds {window.n_points} points, "
-                          f"fewer than the {_N_PARAMS} LPPL parameters")
+    _check_window(series, window)
     fit = _fit_windows(series, [window], config, filters, [seed])[0]
     if isinstance(fit, FitError):
         raise fit

@@ -37,6 +37,19 @@ def parse_time(text: str) -> float:
     return t
 
 
+def _parse_price(text: str) -> float:
+    """Parse a price cell: a finite, positive real number."""
+    try:
+        p = float(text)
+    except ValueError:
+        raise CsvFormatError(f"unparseable price: {text!r}") from None
+    if not math.isfinite(p):
+        raise CsvFormatError(f"non-finite price: {text!r}")
+    if p <= 0:
+        raise CsvFormatError(f"non-positive price: {text!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Immutable, time-sorted series of strictly positive prices."""
@@ -180,31 +193,18 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
             f"{options.price_column!r}, got {header}"
         ) from None
 
+    width = max(t_idx, p_idx) + 1
     rows: list[tuple[float, float]] = []
     rejected: list[RejectedRow] = []
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) <= max(t_idx, p_idx):
-            rejected.append(RejectedRow(line_no, "too few columns"))
-            continue
         try:
-            t = parse_time(row[t_idx])
+            if len(row) < width:
+                raise CsvFormatError("too few columns")
+            rows.append((parse_time(row[t_idx]), _parse_price(row[p_idx])))
         except CsvFormatError as exc:
             rejected.append(RejectedRow(line_no, str(exc)))
-            continue
-        try:
-            p = float(row[p_idx])
-        except ValueError:
-            rejected.append(RejectedRow(line_no, f"unparseable price: {row[p_idx]!r}"))
-            continue
-        if not math.isfinite(p):
-            rejected.append(RejectedRow(line_no, f"non-finite price: {row[p_idx]!r}"))
-            continue
-        if p <= 0:
-            rejected.append(RejectedRow(line_no, f"non-positive price: {row[p_idx]!r}"))
-            continue
-        rows.append((t, p))
 
     if len(rows) < 2:
         raise CsvFormatError(f"only {len(rows)} valid rows; need at least 2")

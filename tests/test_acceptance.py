@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 The statistical criteria (4, 5, 6) run 100 seeded trials apiece and
-dominate the runtime (about 2.5 minutes on one core of a 2-core host).
+dominate the runtime (the module takes about 40 s on one core of a 2-core host).
 """
 
 import math

@@ -101,11 +101,17 @@ class TestSolveLinear:
         with pytest.raises(DomainError):
             solve_linear(s, w, w.t2, 0.5, 6.0)
 
-    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500)])
+    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500), (0, 30)])
     def test_window_outside_the_series_is_window_error(self, start, stop):
         s = lppl_series(n=120)
         with pytest.raises(WindowError, match="not inside"):
             solve_linear(s, FitWindow(60.0, 119.0, start, stop), 130.0, 0.5, 6.0)
+
+    def test_window_below_the_parameter_count_is_window_error(self):
+        # 3 points leave the 4 linear coefficients underdetermined: the solve would report sse ~1e-26
+        s = lppl_series(n=120)
+        with pytest.raises(WindowError, match="fewer than the 7 LPPL parameters"):
+            solve_linear(s, FitWindow(0.0, 2.0, 0, 3), 125.0, 0.5, 7.0)
 
 
 class TestLinearFit:
@@ -495,7 +501,7 @@ class TestFitWindow:
         with pytest.raises(WindowError, match="fewer than the 7 LPPL parameters"):
             fit_window(s, window, SearchConfig(n_starts=2, max_iter=50))
 
-    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500)])
+    @pytest.mark.parametrize("start, stop", [(200, 260), (60, 500), (0, 30)])
     def test_window_outside_the_series_is_window_error(self, start, stop):
         s = lppl_series(noise=0.01, seed=5, n=120)
         with pytest.raises(WindowError, match="not inside"):
