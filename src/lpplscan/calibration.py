@@ -16,7 +16,7 @@ descent's next point in one batched call of the least-squares kernel, with a
 row of log-prices per point; their ends are then polished in one batch, and
 the polish's solve at a window's best end is its fit.
 That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
-nothing; every row of a batch is bit-identical to a one-point call, so a
+nothing; every row of a batch is bit-identical to a one-row call, so a
 window's fit does not depend on the windows fitted with it.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, FitError, WindowError
-# benchmark/workloads.py wraps calibration.solve_linear, lppl_basis, qualify and sign_of by name
+# benchmark/workloads.py wraps calibration.solve_linear, lppl_basis and qualify by name, and calls sign_of
 from .model import TWO_PI, LpplParams, _basis, lppl_basis  # noqa: F401
 from .timeseries import FitWindow, PriceSeries, slice_window
 
@@ -160,11 +160,11 @@ def solve_linear(
     _check_window(series, window)
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
-    beta, sse = _linear_fit(t_c - window.times(series), window.log_prices(series), m, omega)[:2]
-    if not math.isfinite(sse):
+    beta, sse = _linear_fit((t_c - window.times(series))[None], window.log_prices(series), m, omega)[:2]
+    if not math.isfinite(sse[0]):
         raise FitError(f"linear solve produced non-finite coefficients at t_c={t_c}")
-    A, B, c1, c2 = (float(v) for v in beta)
-    return A, B, c1, c2, sse
+    A, B, c1, c2 = beta[0].tolist()
+    return A, B, c1, c2, float(sse[0])
 
 
 def _check_window(series: PriceSeries, window: FitWindow) -> None:
@@ -187,12 +187,12 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
 
     The one linear solve of calibration: the screen, the descents, the
-    polish (whose solve is the fit) and solve_linear all go through it. dt has
-    shape (..., n) and m, omega broadcast against it, so a batch of P points
-    passes dt of shape (P, n) with (P, 1) columns; y is one window's (n,)
-    log-prices or a (P, n) row per point. beta has shape (..., 4) and sse
-    shape (...), a float for 1-D dt. Every row is bit-identical to its 1-D
-    call: stacked matmul runs the same BLAS kernels per row (einsum does not).
+    polish (whose solve is the fit) and solve_linear all go through it. A
+    batch of P points passes dt of shape (P, n), with m and omega scalars or
+    (P, 1) columns; y is one window's (n,) log-prices or a (P, n) row per
+    point. beta has shape (P, 4) and sse shape (P,). Every row is
+    bit-identical to its one-row call: stacked matmul runs the same BLAS
+    kernels per row (einsum does not).
     Normal equations; only a row whose X'X is singular is re-solved, by
     minimum-norm lstsq. An overflowed basis gets sse inf; nothing warns.
     """
@@ -202,14 +202,13 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
         G = Xt @ X
         beta = _solve(G, Xt @ y[..., None])[..., 0]
         resid, sse = _residuals(X, y, beta)
-        one = X.ndim == 2  # a one-point sse is a scalar, which math tests without numpy's scalar overhead
-        if not (math.isfinite(sse) if one else np.isfinite(sse).all()):
+        if not np.isfinite(sse).all():
             # a singular G left only its own row NaN, re-solved here; a non-finite G is an overflowed basis
-            for i in map(tuple, np.argwhere(~np.isfinite(sse) & np.isfinite(G).all(axis=(-2, -1)))):
+            for i in np.flatnonzero(~np.isfinite(sse) & np.isfinite(G).all(axis=(-2, -1))):
                 beta[i] = np.linalg.lstsq(X[i], np.broadcast_to(y, X.shape[:-1])[i], rcond=None)[0]
             resid, sse = _residuals(X, y, beta)
             sse = np.where(np.isfinite(sse), sse, math.inf)
-    return beta, float(sse) if one else sse, ldt, X, resid
+    return beta, sse, ldt, X, resid
 
 
 def _residuals(X, y, beta):
@@ -489,15 +488,11 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
                     ends[i] = stop.value
         live = [i for i in live if ends[i] is None]
 
-    # every finite descent end, Gauss-Newton polished in one batch; the
-    # polish's solve at its point is that descent's fit
-    z = np.array([end[0] for end in ends])
-    done = np.isfinite([end[1] for end in ends])
-    f, sse, beta = np.full(len(ends), math.inf), np.full(len(ends), math.nan), np.full((len(ends), 4), math.nan)
-    if done.any():
-        own = owner[done]
-        z[done], sse[done], beta[done] = _polish(z[done], span[own], rev[own], y[own], lo, hi)
-        f[done] = sse[done] / scale[own]
+    # every descent end, Gauss-Newton polished in one batch; the polish's
+    # solve at its point is that descent's fit, and a failed end keeps sse inf
+    z, sse, beta = _polish(np.array([end[0] for end in ends]), span[owner], rev[owner], y[owner], lo, hi)
+    f = sse / scale[owner]
+    done = np.isfinite(f)
 
     fits = []
     for w, window in enumerate(windows):

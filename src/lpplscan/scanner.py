@@ -248,11 +248,14 @@ def alarm_index(ensemble, date: float) -> float:
 
 
 def nearest_rank_quantile(samples, q: float) -> float:
-    """Nearest-rank empirical quantile of an iterable of samples."""
+    """Nearest-rank empirical quantile of samples: the ceil(q n)-th smallest, with q read as the decimal it prints as."""
+    from fractions import Fraction  # kept out of `import lpplscan`, which it would slow by about 3 ms
     ordered = sorted(samples)
     if not ordered:
         raise DomainError("quantile of an empty sample")
-    rank = max(1, math.ceil(q * len(ordered)))
+    if not 0 <= q <= 1:
+        raise DomainError(f"quantile level q={q} must lie in [0, 1]")
+    rank = max(1, math.ceil(Fraction(repr(float(q))) * len(ordered)))
     return ordered[rank - 1]
 
 

@@ -134,7 +134,7 @@ class TestLinearFit:
         tt = np.arange(float(n))
         y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
         t2, tc_span = tt[-1], 0.5 * (n - 1)
-        beta, sse = _linear_fit(u * tc_span + (t2 - tt), y, m, omega)[:2]
+        beta, sse = (v[0] for v in _linear_fit((u * tc_span + (t2 - tt))[None], y, m, omega)[:2])
         X = lppl_basis(t2 + u * tc_span, m, omega, tt)
         ref, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ ref
@@ -154,10 +154,9 @@ class TestLinearFit:
         z = lo + _latin_hypercube(37, 3, n) * (hi - lo)
         z[3, 1] = 0.0  # m = 0: the constant and power-law columns coincide, X^T X is singular
         z[6, 2] = np.inf  # a non-finite basis, in the singular row's batch
-        singles = [_linear_fit(u * tc_span + rev, y, m, omega)[:2] for u, m, omega in z]
-        assert all(type(sse) is float for _, sse in singles)
+        singles = [[v[0] for v in _linear_fit((u * tc_span + rev)[None], y, m, omega)[:2]] for u, m, omega in z]
         assert math.isfinite(singles[3][1]) and singles[6][1] == math.inf
-        # the 1-D call keeps plain 2-D BLAS arithmetic: normal equations and r @ r
+        # the one-row call keeps plain 2-D BLAS arithmetic: normal equations and r @ r
         for (u, m, omega), (b1, s1) in zip(z, singles):
             if m == 0.0 or omega == np.inf:
                 continue
@@ -185,7 +184,7 @@ class TestLinearFit:
         tt = np.arange(300.0)
         y = np.zeros_like(tt)
         for t_c, m, omega in [(300.0, 0.5, 6.28), (310.5, 0.01, 2.0), (449.0, 0.99, 15.0), (300.25, 0.37, 9.1)]:
-            X = _linear_fit(t_c - tt, y, m, omega)[3]
+            X = _linear_fit((t_c - tt)[None], y, m, omega)[3][0]
             assert np.array_equal(X, lppl_basis(t_c, m, omega, tt))
             assert np.array_equal(X[17], lppl_basis(t_c, m, omega, tt[17]))
 
@@ -201,7 +200,7 @@ class TestLinearFit:
         z = np.column_stack([rng.uniform(1e-6, 1.0, P), rng.uniform(0.01, 0.99, P), rng.uniform(2.0, 15.0, P)])
         z[5, 1] = 0.0  # m = 0: a singular row, which the kernel re-solves on its own
         dt = z[:, :1] * tc_span + rev
-        singles = [_linear_fit(d, yi, m, omega)[:2] for d, yi, (_, m, omega) in zip(dt, y, z)]
+        singles = [[v[0] for v in _linear_fit(d[None], yi, m, omega)[:2]] for d, yi, (_, m, omega) in zip(dt, y, z)]
         assert math.isfinite(singles[5][1])
         for rows in (slice(0, P), slice(6, P)):  # with and without the singular row
             beta, sse = _linear_fit(dt[rows], y[rows], z[rows, 1:2], z[rows, 2:3])[:2]
@@ -386,6 +385,24 @@ class TestPolish:
         windows = [others[0], flat, *others[1:]]
         for window, fit in zip(windows, _fit_windows(s, windows, FAST, FilterConfig(), [1, 2, 3, 4])):
             assert repr(fit) == repr(fit_window(s, window, FAST, seed=windows.index(window) + 1))
+
+    def test_overflowed_row_keeps_sse_inf(self):
+        # at m = 1000 the basis overflows wherever dt > 2, so that row's sse is
+        # inf from the start; the polish takes it without a numpy warning, and
+        # the regular row beside it polishes as it does alone
+        s = lppl_series(noise=0.01, seed=1, n=150)
+        w = full_window(s)
+        lo, hi = np.array([1e-6, 0.01, 2.0]), np.array([1.0, 1001.0, 15.0])
+        z = np.array([[0.3, 0.5, 6.0], [0.3, 1000.0, 6.0]])
+        span, rev, y = polish_rows(s, [w, w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _polish(z, span, rev, y, lo, hi)
+            solo = _polish(z[:1], span[:1], rev[:1], y[:1], lo, hi)
+        assert batch[1][1] == math.inf and np.array_equal(batch[0][1], z[1])
+        assert not np.array_equal(batch[0][0], z[0])
+        for rows, row in zip(batch, solo):
+            assert np.array_equal(rows[:1], row)
 
 
 class TestQualify:

@@ -281,8 +281,14 @@ class TestTcDistribution:
         assert nearest_rank_quantile(samples, 0.51) == 3
         assert nearest_rank_quantile(samples, 0.25) == 1
         assert nearest_rank_quantile(samples, 1.0) == 4
+        # q is read as the decimal it prints as: in binary 0.07 * 100 is 7.000000000000001
+        assert nearest_rank_quantile(range(1, 101), 0.07) == 7
+        assert nearest_rank_quantile(range(1, 26), 0.28) == 7
         with pytest.raises(DomainError):
             nearest_rank_quantile([], 0.5)
+        for q in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                nearest_rank_quantile([1, 2], q)
 
 
 class TestReport:
