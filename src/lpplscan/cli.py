@@ -110,8 +110,8 @@ def _parse_values(raw: dict[str, str], parsers: dict) -> dict:
 
 
 def _scan_config(args) -> scanner.ScanConfig:
-    """The config of --config, overlaid by --filters, overlaid by the dedicated flags."""
-    raw = dict(args.config_kv)
+    """The config read from the --config file, overlaid by --filters, overlaid by the dedicated flags."""
+    raw = _read_config_file(args.config) if args.config else {}
     raw.update(_parse_kv(args.filters))
     flags = {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
     raw.update({key: text for key, text in flags.items() if text is not None})
@@ -147,10 +147,10 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def cmd_fit(args) -> int:
+    config = _scan_config(args)
     series = _load_series(args.input, args.date_column, args.price_column)
     t1 = timeseries.parse_time(args.t1)
     t2 = timeseries.parse_time(args.t2)
-    config = _scan_config(args)
     window = timeseries.slice_window(series, t1, t2, min_points=config.min_points)
     fit = calibration.fit_window(series, window, config.search, config.filters, seed=config.seed)
     text = json.dumps(fit.to_dict(), indent=2, sort_keys=True)
@@ -162,9 +162,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    series = _load_series(args.input, args.date_column, args.price_column)
     config = _scan_config(args)
-
+    series = _load_series(args.input, args.date_column, args.price_column)
     rep = scanner.report(series, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,10 +309,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args.config_kv = _read_config_file(args.config)
-        else:
-            args.config_kv = {}
         # non-finite values end in a DomainError; numpy's warnings would be non-JSON stderr lines
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -295,6 +295,11 @@ class TestScan:
             capsys, "scan", "--input", str(bubble_csv), "--config", str(cfg)
         )
         assert code == 2
+        # every config source is checked before the CSV, which has no date column, is read
+        for command in (["scan"], ["fit", "--t1", "0", "--t2", "100"]):
+            code, _, err = run(capsys, *command, "--input", str(bubble_csv), "--filters", "bogus=1")
+            assert code == 2
+            assert one_json_object(err)["error"] == {"type": "usage", "message": "unknown key(s): bogus"}
 
 
 class TestConfig:

@@ -112,6 +112,26 @@ class TestScanGrid:
         result = scan(s, cfg)
         assert result.n_skipped > 0
         assert all(f.window.length <= 139 for f in result.fits)
+        assert result.n_skipped + len(result.fits) == len(result.end_dates) * 2
+        # 50 weekdays in days 0..68: a 10-day window spans 11 days and holds 7 to 9
+        # of them, so min_points=8 refuses some 10-day pairs, and the 100-day pairs
+        # start before the data. k = 7 divides n - 1 = 49, k = 20 does not, k = 50 >= n
+        days = np.array([d for d in range(70) if d % 7 < 5], dtype=float)
+        weekdays = PriceSeries(days, np.exp(np.linspace(1.0, 2.0, len(days))))
+        n, lengths = len(days), (10.0, 100.0)
+        for k in (7, 20, n):
+            cfg = ScanConfig(window_lengths=lengths, end_every=k, min_points=8, search=FAST, seed=1)
+            result = scan(weekdays, cfg)
+            assert result.end_dates == tuple(days[(n - 1) % k :: k])
+            assert result.n_skipped + len(result.fits) == len(result.end_dates) * len(lengths)
+            early = sum(t2 - length < days[0] for t2 in result.end_dates for length in lengths)
+            short = sum(
+                t2 - length >= days[0] and np.count_nonzero((days >= t2 - length) & (days <= t2)) < 8
+                for t2 in result.end_dates for length in lengths
+            )
+            assert result.n_skipped == early + short
+            if k == 7:
+                assert early > len(result.end_dates) and short > 0
 
     def test_no_feasible_pair_is_error(self):
         s = bubble_series()
