@@ -5,13 +5,20 @@ and three nonlinear ones (t_c, m, omega). The linear block is solved by least
 squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points,
 then a variable-projection Gauss-Newton polish of each descent's end (Golub
-& Pereyra 1973, with Kaufman's 1975 Jacobian). The Nelder-Mead is an
-in-house ask/tell simplex (`_simplex`), a bit-exact transcription of scipy's
-bounded one, so numpy is the only run-time dependency; it stops at loose
-tolerances, and the polish (`_polish`) takes each end to the optimum in a
-few steps. _fit_windows fits windows with the same number of points
-together: each window keeps its own screen, scored in bounded batches, and
-the descents of all of them run in lockstep, each step scoring every live
+& Pereyra 1973, with Kaufman's 1975 Jacobian). The screen is scored in two
+stages (_screen_best), a cheap low-precision pass and an exact check (Higham
+& Mary, "Mixed precision algorithms in numerical linear algebra", 2022): a
+pre-score, the kernel with float32 cos and sin, ranks every point, and only
+its leaders, the points within a relative 1e-3 of the second-best pre-score,
+are scored again exactly. A pre-score that is not finite, or a leader whose
+pre-score lies further than 1e-3 from its exact sse, sends the window to
+the all-exact screen. Either way its two best points are those of the
+all-exact screen. The Nelder-Mead is an in-house ask/tell simplex
+(`_simplex`), a bit-exact transcription of scipy's bounded one, so numpy is
+the only run-time dependency; it stops at loose tolerances, and the polish
+(`_polish`) takes each end to the optimum in a few steps. _fit_windows
+fits windows with the same number of points together: each window keeps its
+own screen, scored in bounded batches, and the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
 row of log-prices per point; their ends are then polished in one batch, and
 the polish's solve at a window's best end is its fit.
@@ -49,6 +56,9 @@ _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
 _BATCH_ROWS = 4096  # basis rows (points x window length) per batched kernel call
+# relative sse error the screen's float32-trig pre-score may have; its leaders
+# are re-scored exactly, and a larger error seen there falls back to the exact screen
+_PRESCORE_TOL = 1e-3
 # the simplex stops once its vertices agree to _XATOL in (u, m, omega) and
 # _FATOL in scaled sse; the Gauss-Newton polish then takes each descent end to
 # the optimum, so scaled prices and shifted times land on the same point
@@ -97,7 +107,9 @@ class SearchConfig:
     """Effort of the (t_c, m, omega) search: a Latin-hypercube screen of
     50 * n_starts points (n_starts <= 10,000), then two Nelder-Mead descents
     of at most max_iter iterations each, from the screen's two best points,
-    each finished by at most 8 Gauss-Newton steps.
+    each finished by at most 8 Gauss-Newton steps. The screen is pre-scored
+    with float32 cos and sin and its leaders scored again exactly, which
+    picks the same two points as scoring all of it exactly.
     """
 
     n_starts: int = 20
@@ -183,7 +195,7 @@ def _solve(A, b):
     return _umath_linalg.solve(A, b, signature="dd->d")
 
 
-def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
+def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega, trig32=False):
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
 
     The one linear solve of calibration: the screen, the descents, the
@@ -195,9 +207,11 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
     kernels per row (einsum does not).
     Normal equations; only a row whose X'X is singular is re-solved, by
     minimum-norm lstsq. An overflowed basis gets sse inf; nothing warns.
+    trig32 builds the basis with float32 cos and sin (model._basis): the
+    screen's pre-score, an approximate sse that only ranks points.
     """
     with np.errstate(all="ignore"):
-        ldt, X = _basis(dt, m, omega)
+        ldt, X = _basis(dt, m, omega, trig32)
         Xt = X.swapaxes(-1, -2)
         G = Xt @ X
         beta = _solve(G, Xt @ y[..., None])[..., 0]
@@ -275,6 +289,37 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
             break
         dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
     return z, sse, kept
+
+
+def _screen_sse(z, span, rev, y, trig32=False) -> np.ndarray:
+    """sse of one window's screen points z = (u, m, omega), scored in batches of about _BATCH_ROWS basis rows."""
+    rows = max(1, _BATCH_ROWS // len(y))
+    return np.concatenate([
+        _linear_fit(part[:, :1] * span + rev, y, part[:, 1:2], part[:, 2:3], trig32)[1]
+        for part in (z[i:i + rows] for i in range(0, len(z), rows))
+    ])
+
+
+def _screen_best(z, span, rev, y, scale) -> np.ndarray:
+    """Indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
+
+    Two stages. The pre-score, _linear_fit with float32 cos and sin, ranks
+    every point; its leaders, each point within a relative _PRESCORE_TOL
+    margin of the second-best pre-score, are scored again exactly, and their
+    best two are the result. If every pre-score lies within _PRESCORE_TOL of
+    its exact sse, the exact best two are among the leaders, so the result is
+    that of the exact screen. The exact screen is taken instead when a
+    pre-score is not finite or a leader's exact sse is not finite or differs
+    from its pre-score by more than _PRESCORE_TOL.
+    """
+    pre = _screen_sse(z, span, rev, y, trig32=True)
+    if np.isfinite(pre).all():
+        second = np.partition(pre, _DESCENTS - 1)[_DESCENTS - 1]
+        lead = np.flatnonzero(pre <= second * (1 + _PRESCORE_TOL) / (1 - _PRESCORE_TOL))
+        exact = _screen_sse(z[lead], span, rev, y)
+        if np.isfinite(exact).all() and (np.abs(exact - pre[lead]) <= _PRESCORE_TOL * exact).all():
+            return lead[np.argsort(exact / scale, kind="stable")[:_DESCENTS]]
+    return np.argsort(_screen_sse(z, span, rev, y) / scale, kind="stable")[:_DESCENTS]
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -437,7 +482,13 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
 
 
 def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
-    """Calibration of windows with equal n_points: a screen per window, then all descents in lockstep."""
+    """Calibration of windows with equal n_points: a screen per window, then all descents in lockstep.
+
+    Each window's screen is scored by _screen_best: a float32-trig pre-score
+    of every point, then an exact score of its leaders, or of every point
+    when the guard trips; either way the two starts are the all-exact
+    screen's.
+    """
     tt = np.stack([w.times(series) for w in windows])
     y = np.stack([w.log_prices(series) for w in windows])
     n = tt.shape[1]
@@ -456,15 +507,10 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
 
     # each window's screen, scored in batches of about _BATCH_ROWS basis
     # rows, which bounds the screen's memory; only its two best points stay
-    rows = max(1, _BATCH_ROWS // n)
     starts, descents = [], []
     for w, seed in enumerate(seeds):
         screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
-        screen_sse = np.concatenate([
-            _linear_fit(z[:, :1] * span[w] + rev[w], y[w], z[:, 1:2], z[:, 2:3])[1]
-            for z in (screen[i:i + rows] for i in range(0, len(screen), rows))
-        ])
-        best = np.argsort(screen_sse / scale[w], kind="stable")[:_DESCENTS]
+        best = _screen_best(screen, span[w], rev[w], y[w], scale[w])
         starts += best.tolist()
         descents += [_simplex(screen[i], lo, hi, config.max_iter) for i in best]
     owner = np.repeat(np.arange(len(windows)), _DESCENTS)  # descent i belongs to window owner[i]

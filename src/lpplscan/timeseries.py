@@ -167,7 +167,9 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
     Rows with unparseable timestamps or unparseable, non-finite or
     non-positive prices are rejected and reported by line number. Duplicate
     timestamps with equal price are deduplicated; with different prices they
-    are a hard error. A bytes source must be UTF-8 text.
+    are a hard error. A bytes source must be UTF-8 text. A line the csv
+    module cannot read, such as one with a field over its size limit, is a
+    CsvFormatError naming that line.
     """
     if isinstance(source, bytes):
         try:
@@ -176,7 +178,7 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
             raise CsvFormatError(f"input is not UTF-8 text ({exc.reason})") from None
     elif isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = _records(csv.reader(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -230,6 +232,14 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
 
     series = PriceSeries(np.array(times), np.array(prices), label=label)
     return LoadResult(series=series, rejected=tuple(rejected), deduplicated=deduplicated)
+
+
+def _records(reader):
+    """The csv reader's rows; a csv.Error it raises becomes a CsvFormatError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def save_csv(series: PriceSeries, sink) -> None:

@@ -633,6 +633,110 @@ class TestFitWindow:
                 assert fit.diagnostics == alone.value.diagnostics
 
 
+class TestTwoStageScreen:
+    @staticmethod
+    def exact_starts(z, span, rev, y, scale):
+        # the exact kernel over every screen point, in chunks (each row is its one-row call), then a stable argsort
+        sse = np.concatenate([
+            _linear_fit(c[:, :1] * span + rev, y, c[:, 1:2], c[:, 2:3])[1] for c in np.array_split(z, len(z) // 50)
+        ])
+        return np.argsort(sse / scale, kind="stable")[:2]
+
+    @staticmethod
+    def spy_screens(monkeypatch, prescore_factor=1.0):
+        """Record each window's kernel calls [(trig32, points)] and its starts against the exact screen's."""
+        screen_sse, screen_best = calibration._screen_sse, calibration._screen_best
+        windows = []
+
+        def spy_sse(z, span, rev, y, trig32=False):
+            windows[-1]["calls"].append((trig32, len(z)))
+            sse = screen_sse(z, span, rev, y, trig32) * (prescore_factor if trig32 else 1.0)
+            if trig32:
+                windows[-1]["prescore_starts"] = np.argsort(sse, kind="stable")[:2].tolist()
+            return sse
+
+        def spy_best(z, span, rev, y, scale):
+            windows.append({"calls": [], "points": len(z)})
+            best = screen_best(z, span, rev, y, scale)
+            windows[-1]["starts"] = (best.tolist(), TestTwoStageScreen.exact_starts(z, span, rev, y, scale).tolist())
+            return best
+
+        monkeypatch.setattr(calibration, "_screen_sse", spy_sse)
+        monkeypatch.setattr(calibration, "_screen_best", spy_best)
+        return windows
+
+    # (series, window lengths, search, m_range's lower end); short descents, since only the screen is under test
+    CASES = {
+        "m_from_1e-4": ("noisy", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 1e-4),
+        "m_from_1e-5": ("noisy", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 1e-5),
+        "noiseless": ("noiseless", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
+        "one_start": ("noisy", (30.0, 60.0, 150.0), SearchConfig(n_starts=1, max_iter=20), 0.01),
+        "200_starts": ("noisy", (100.0,), SearchConfig(n_starts=200, max_iter=20), 0.01),
+        "weekday": ("weekday", (44.0, 90.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
+        "near_ties": ("noisy", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
+    }
+
+    @staticmethod
+    def case_fits(case):
+        kind, lengths, search, m_lo = TestTwoStageScreen.CASES[case]
+        if kind == "weekday":
+            s = weekday_series(200, seed=6)
+        else:
+            s = lppl_series(noise=0.01 if kind == "noisy" else 0.0, seed=6)
+        windows = [slice_window(s, t2 - length, t2) for length in lengths for t2 in s.times[-1:-40:-19]]
+        filters = FilterConfig(m_range=(m_lo, 0.99))
+        return lambda: [repr(f) for f in _fit_windows(s, windows, search, filters, list(range(len(windows))))]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_picks_the_exact_screens_starts(self, case, monkeypatch):
+        fits = self.case_fits(case)
+        if case == "near_ties":
+            # clusters of 10 points 1e-9 apart, whose exact order the pre-score's float32 rounding scrambles
+            lhs = calibration._latin_hypercube
+
+            def clustered(n, d, seed):
+                spread = 1 + 1e-9 * np.tile(np.arange(10.0), n // 10)
+                return np.repeat(lhs(n // 10, d, seed), 10, axis=0) * spread[:, None]
+
+            monkeypatch.setattr(calibration, "_latin_hypercube", clustered)
+        windows = self.spy_screens(monkeypatch)
+        fits()
+        assert len(windows) == len(self.CASES[case][1]) * 3
+        for w in windows:
+            assert w["starts"][0] == w["starts"][1]
+            # the two stages ran and the guard held: a pre-score of every point, then an exact score of fewer
+            (pre, n_pre), (exact, n_lead) = w["calls"]
+            assert (pre, exact, n_pre) == (True, False, w["points"]) and 2 <= n_lead < n_pre
+        if case == "near_ties":
+            assert any(w["prescore_starts"] != w["starts"][1] for w in windows)
+
+    @pytest.mark.parametrize("case", ["m_from_1e-5", "weekday"])
+    def test_prescore_off_by_twice_the_tolerance_falls_back(self, case, monkeypatch):
+        fits = self.case_fits(case)
+        expected = fits()
+        windows = self.spy_screens(monkeypatch, prescore_factor=1 + 2 * calibration._PRESCORE_TOL)
+        assert fits() == expected
+        for w in windows:
+            assert w["starts"][0] == w["starts"][1]
+            # the leaders' exact sse trips the guard, and the whole screen is scored exactly
+            assert [trig32 for trig32, _ in w["calls"]] == [True, False, False] and w["calls"][-1][1] == w["points"]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("n", [40, 200, 750])
+    def test_prescore_error_is_a_tenth_of_the_tolerance(self, n, noise):
+        # the box's corners with m from 1e-5, then a Latin hypercube inside it; the
+        # guard checks only the leaders, so an error past this bound must show here
+        s = lppl_series(noise=noise, seed=n, n=n, params=replace(TRUE, t_c=n + 40.0))
+        rev, span = s.times[-1] - s.times, 0.5 * (s.t_end - s.t_start)
+        lo, hi = np.array([1e-6, 1e-5, 2.0]), np.array([1.0, 0.99, 15.0])
+        corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
+        z = np.vstack([corners, lo + _latin_hypercube(500, 3, n) * (hi - lo)])
+        args = (z[:, :1] * span + rev, s.log_prices, z[:, 1:2], z[:, 2:3])
+        exact, pre = _linear_fit(*args)[1], _linear_fit(*args, trig32=True)[1]
+        assert np.isfinite(exact).all()
+        assert (np.abs(pre - exact) <= calibration._PRESCORE_TOL / 10 * exact).all()
+
+
 class TestNestingOptimality:
     def test_no_grid_point_beats_returned_sse(self):
         s = lppl_series(noise=0.005, seed=8, n=60)

@@ -238,6 +238,18 @@ class TestFit:
         assert code == 0
         assert (code, out) == run(capsys, *args, "--input", str(bubble_csv))[:2]
 
+    @pytest.mark.parametrize("command", [["fit", "--t1", "0", "--t2", "139"], ["scan"]], ids=["fit", "scan"])
+    def test_field_over_csv_size_limit_is_csv_format_error(self, bubble_csv, capsys, tmp_path, command):
+        with open(bubble_csv, "a") as fh:
+            fh.write(f"140,{'9' * 140_000},1.6\n")
+        code, out, err = run(
+            capsys, *command, "--input", str(bubble_csv), "--date-column", "time", "--out", str(tmp_path / "out"),
+        )
+        assert (code, out) == (1, "")
+        error = one_json_object(err)["error"]
+        assert error["type"] == "CsvFormatError"
+        assert error["message"] == "line 142: field larger than field limit (131072)"
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(
             capsys, "fit", "--input", "/nonexistent.csv", "--t1", "0", "--t2", "100"

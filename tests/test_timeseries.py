@@ -110,6 +110,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="missing column"):
             load_csv("when,price\n1,10\n2,20\n")
 
+    def test_field_over_csv_size_limit_names_its_line(self):
+        # the csv module refuses a field over 131,072 characters with csv.Error
+        big = "9" * 140_000
+        with pytest.raises(CsvFormatError, match=r"^line 3: field larger than field limit"):
+            load_csv(f"date,price\n1,10\n2,{big}\n3,30\n")
+        with pytest.raises(CsvFormatError, match=r"^line 1: field larger than field limit"):
+            load_csv(f"date,price,{big}\n1,10,x\n2,20,y\n")
+
     def test_byte_stream(self):
         s = load_csv(b"date,price\n1,10\n2,20\n").series
         assert len(s) == 2
