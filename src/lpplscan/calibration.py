@@ -14,9 +14,10 @@ are scored again exactly. A pre-score that is not finite, or a leader whose
 pre-score lies further than 1e-3 from its exact sse, sends the window to
 the all-exact screen. Either way its two best points are those of the
 all-exact screen. The Nelder-Mead is an in-house ask/tell simplex
-(`_simplex`), a bit-exact transcription of scipy's bounded one, so numpy is
-the only run-time dependency; it stops at loose tolerances, and the polish
-(`_polish`) takes each end to the optimum in a few steps. _fit_windows
+(`_simplex`), a bit-exact transcription of scipy's bounded one written out
+for the three coordinates, so numpy is the only run-time dependency; it
+stops at loose tolerances, and the polish (`_polish`) takes each end to the
+optimum in a few steps. _fit_windows
 fits windows with the same number of points together: each window keeps its
 own screen, scored in bounded batches, and the descents of all of them run in lockstep, each step scoring every live
 descent's next point in one batched call of the least-squares kernel, with a
@@ -333,78 +334,86 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 
 def _simplex(z0, lo, hi, max_iter: int):
-    """Bounded Nelder-Mead as an ask/tell generator.
+    """Bounded Nelder-Mead over the three search coordinates (u, m, omega), as an ask/tell generator.
 
-    Yields each point to evaluate, as a list of floats, and is sent that
-    point's objective value; returns (x, f, converged, iterations). It
+    Yields each point to evaluate, as a list of three floats, and is sent
+    that point's objective value; returns (x, f, converged, iterations). It
     transcribes scipy 1.17's minimize(method="Nelder-Mead", bounds=...,
     options={"maxiter": max_iter, "fatol": _FATOL, "xatol": _XATOL}) for a
-    finite start and box: the same moves, clipping and vertex order, so the
+    finite start and box, unrolled for three coordinates: the same moves,
+    clipping, float operations in the same order and vertex order, so the
     same objective values give bit-identical points. converged means the
     tolerance test stopped the descent before max_iter iterations.
     """
-    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
-
-    def clip(x):
-        # np.clip's comparisons: on a tie the bound wins
-        return [min(h, max(l, v)) for v, l, h in zip(x, lo, hi)]
-
-    x0 = clip(float(v) for v in z0)
-    N = len(x0)
+    l0, l1, l2 = (float(v) for v in lo)
+    h0, h1, h2 = (float(v) for v in hi)
+    u, m, w = (float(v) for v in z0)
+    # np.clip's comparisons: on a tie the bound wins
+    x0 = [min(h0, max(l0, u)), min(h1, max(l1, m)), min(h2, max(l2, w))]
     sim = [x0]
-    for k in range(N):
+    for k, (l, h) in enumerate(zip((l0, l1, l2), (h0, h1, h2))):
         y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        v = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         # a step past the upper bound is reflected into the box
-        sim.append(clip(2 * h - v if v > h else v for v, h in zip(y, hi)))
+        y[k] = min(h, max(l, 2 * h - v if v > h else v))
+        sim.append(y)
     fsim = []
     for x in sim:
         fsim.append((yield x))
 
-    def order():
-        if len(set(fsim)) == len(fsim) and all(f == f for f in fsim):
-            ind = sorted(range(len(fsim)), key=fsim.__getitem__)
-        else:  # a tie or a NaN: np.argsort's default kind, whose order of tied values is scipy's
-            ind = np.argsort(fsim).tolist()
-        return [sim[i] for i in ind], [fsim[i] for i in ind]
-
-    sim, fsim = order()
+    sim, fsim = _simplex_order(sim, fsim)
     iterations = 1
     while iterations < max_iter:
-        best = sim[0]
-        if all(abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best)) and all(
-            abs(fsim[0] - f) <= _FATOL for f in fsim[1:]
-        ):
+        (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = sim
+        f0, f1, f2, f3 = fsim
+        if (abs(p0 - b0) <= _XATOL and abs(p1 - b1) <= _XATOL and abs(p2 - b2) <= _XATOL
+                and abs(q0 - b0) <= _XATOL and abs(q1 - b1) <= _XATOL and abs(q2 - b2) <= _XATOL
+                and abs(w0 - b0) <= _XATOL and abs(w1 - b1) <= _XATOL and abs(w2 - b2) <= _XATOL
+                and abs(f0 - f1) <= _FATOL and abs(f0 - f2) <= _FATOL and abs(f0 - f3) <= _FATOL):
             break
         # the centroid of all but the worst vertex, summed in vertex order
-        xbar = [sum(c[1:], c[0]) / N for c in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = [min(h, max(l, 2 * c - w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # reflection
-        fxr = yield xr
-        if fxr < fsim[0]:
-            xe = [min(h, max(l, 3 * c - 2 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # expansion
-            fxe = yield xe
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        c0, c1, c2 = (b0 + p0 + q0) / 3, (b1 + p1 + q1) / 3, (b2 + p2 + q2) / 3
+        xr = [min(h0, max(l0, 2 * c0 - w0)), min(h1, max(l1, 2 * c1 - w1)), min(h2, max(l2, 2 * c2 - w2))]
+        fxr = yield xr  # reflection
+        if fxr < f0:
+            xe = [min(h0, max(l0, 3 * c0 - 2 * w0)), min(h1, max(l1, 3 * c1 - 2 * w1)),
+                  min(h2, max(l2, 3 * c2 - 2 * w2))]
+            fxe = yield xe  # expansion
+            sim[3], fsim[3] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f2:
+            sim[3], fsim[3] = xr, fxr
         else:
-            if fxr < fsim[-1]:
-                xc = [min(h, max(l, 1.5 * c - 0.5 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # outside contraction
-                fxc = yield xc
+            if fxr < f3:
+                xc = [min(h0, max(l0, 1.5 * c0 - 0.5 * w0)), min(h1, max(l1, 1.5 * c1 - 0.5 * w1)),
+                      min(h2, max(l2, 1.5 * c2 - 0.5 * w2))]
+                fxc = yield xc  # outside contraction
                 accept = fxc <= fxr
             else:
-                xc = [min(h, max(l, 0.5 * c + 0.5 * w)) for c, w, l, h in zip(xbar, worst, lo, hi)]  # inside contraction
-                fxc = yield xc
-                accept = fxc < fsim[-1]
+                xc = [min(h0, max(l0, 0.5 * c0 + 0.5 * w0)), min(h1, max(l1, 0.5 * c1 + 0.5 * w1)),
+                      min(h2, max(l2, 0.5 * c2 + 0.5 * w2))]
+                fxc = yield xc  # inside contraction
+                accept = fxc < f3
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
+                sim[3], fsim[3] = xc, fxc
             else:  # every vertex halfway towards the best
-                for j in range(1, N + 1):
-                    sim[j] = [min(h, max(l, b + 0.5 * (v - b))) for v, b, l, h in zip(sim[j], best, lo, hi)]
+                for j, (v0, v1, v2) in ((1, (p0, p1, p2)), (2, (q0, q1, q2)), (3, (w0, w1, w2))):
+                    sim[j] = [min(h0, max(l0, b0 + 0.5 * (v0 - b0))), min(h1, max(l1, b1 + 0.5 * (v1 - b1))),
+                              min(h2, max(l2, b2 + 0.5 * (v2 - b2)))]
                     fsim[j] = yield sim[j]
         iterations += 1
-        sim, fsim = order()
+        sim, fsim = _simplex_order(sim, fsim)
     return sim[0], fsim[0], iterations < max_iter, iterations
+
+
+def _simplex_order(sim, fsim):
+    """The four vertices and their values, best first: sorted if the values differ and none is NaN, else np.argsort."""
+    f0, f1, f2, f3 = fsim
+    if (f0 != f1 and f0 != f2 and f0 != f3 and f1 != f2 and f1 != f3 and f2 != f3
+            and f0 == f0 and f1 == f1 and f2 == f2 and f3 == f3):
+        ind = sorted(range(4), key=fsim.__getitem__)
+    else:  # a tie or a NaN: np.argsort's default kind, whose order of tied values is scipy's
+        ind = np.argsort(fsim).tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
 def sign_of(B: float) -> str:

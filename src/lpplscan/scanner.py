@@ -160,13 +160,14 @@ def _task_seed(base_seed: int, wi: int, di: int) -> int:
 
 
 def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list[FitResult]:
-    """Each window's fit, from k = min(n_jobs, available CPUs, windows) worker processes.
+    """Each window's fit, from k = min(n_jobs, available CPUs, windows) processes: this one and k - 1 workers.
 
-    The windows, sorted largest n_points first, are dealt round-robin into one
-    share per worker, so each worker fits about 1/k of every equal-n group in
-    lockstep; the series goes to each worker once, inside its share. At k = 1
-    the one share is fitted in this process. Raises the FitError of the first
-    failing window in the given order.
+    The windows, sorted largest n_points first, are dealt round-robin into k
+    shares, so each process fits about 1/k of every equal-n group in
+    lockstep. The first k - 1 shares go to forked workers, each with the
+    series inside its share; this process fits the last share while they
+    run. At k = 1 no worker starts. Raises the FitError of the first failing
+    window in the given order.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(config.n_jobs, cpus, len(windows))
@@ -177,13 +178,16 @@ def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list
 
         order = sorted(range(len(windows)), key=lambda i: windows[i].n_points, reverse=True)
         shares = [order[j::k] for j in range(k)]
+        args = [(series, [windows[i] for i in share], config.search, config.filters, [seeds[i] for i in share])
+                for share in shares]
+        with ProcessPoolExecutor(k - 1) as pool:
+            futures = [pool.submit(_fit_windows, *a) for a in args[:-1]]
+            own = _fit_windows(*args[-1])
+            results = [future.result() for future in futures] + [own]
         fits = [None] * len(windows)
-        with ProcessPoolExecutor(k) as pool:
-            futures = [pool.submit(_fit_windows, series, [windows[i] for i in share], config.search,
-                                   config.filters, [seeds[i] for i in share]) for share in shares]
-            for share, future in zip(shares, futures):
-                for i, fit in zip(share, future.result()):
-                    fits[i] = fit
+        for share, result in zip(shares, results):
+            for i, fit in zip(share, result):
+                fits[i] = fit
     for fit in fits:
         if isinstance(fit, FitError):
             raise fit

@@ -180,7 +180,7 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
         source = io.StringIO(source)
     reader = _records(csv.reader(source))
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise CsvFormatError("empty file") from None
     if header:  # spreadsheets often export a UTF-8 byte-order mark
@@ -198,7 +198,7 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
     width = max(t_idx, p_idx) + 1
     rows: list[tuple[float, float]] = []
     rejected: list[RejectedRow] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in reader:
         if not row or all(not c.strip() for c in row):
             continue
         try:
@@ -235,9 +235,16 @@ def load_csv(source, options: CsvOptions = CsvOptions(), label: str = "") -> Loa
 
 
 def _records(reader):
-    """The csv reader's rows; a csv.Error it raises becomes a CsvFormatError naming its line."""
+    """(first physical line, row) of each csv row; a csv.Error becomes a CsvFormatError naming its line.
+
+    A quoted field may hold line breaks, so a row's line is the reader's
+    line count before it plus one, not its record number.
+    """
     try:
-        yield from reader
+        line = reader.line_num + 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 

@@ -273,6 +273,8 @@ class TestSimplex:
             "outside": lambda z: float(np.sum((z - [1.5, -0.2, 1.0]) ** 2)),
             # inf over part of the box, as the kernel returns for a failed solve
             "partly_inf": lambda z: math.inf if z[0] + z[1] > 1.0 else float(np.sum((z - [0.9, 0.6, 6.0]) ** 2)),
+            # NaN over part of the box: the vertex order falls back to np.argsort, which sorts NaN last
+            "partly_nan": lambda z: math.nan if z[0] + z[1] > 1.0 else float(np.sum((z - [0.9, 0.6, 6.0]) ** 2)),
             # exactly tied vertex values: a flat box and a staircase
             "flat": lambda z: 1.0,
             "stairs": lambda z: float(np.floor(4 * z[0]) + np.floor(2 * z[1]) + np.floor(z[2] / 4)),
@@ -296,12 +298,25 @@ class TestSimplex:
         # the reference runs at the simplex's own stopping tolerances
         options = {"maxiter": max_iter, "fatol": calibration._FATOL, "xatol": calibration._XATOL}
         for name, objective in self.objectives().items():
+            # every point each side asks for, in order: the transcription is pinned step by step
+            ref_points, points = [], []
+
+            def recorded(asked):
+                def call(z):
+                    asked.append(z.tolist())
+                    return objective(z)
+                return call
+
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # scipy warns about a start outside the bounds
-                ref = minimize(objective, start, method="Nelder-Mead", bounds=list(zip(self.LO, self.HI)),
-                               options=options)
-            (x, f, converged, nit), nfev = drive(_simplex(start, self.LO, self.HI, max_iter), objective)
-            assert (list(ref.x), ref.fun, ref.nit, ref.nfev, ref.success) == (x, f, nit, nfev, converged), name
+                ref = minimize(recorded(ref_points), start, method="Nelder-Mead",
+                               bounds=list(zip(self.LO, self.HI)), options=options)
+            (x, f, converged, nit), nfev = drive(_simplex(start, self.LO, self.HI, max_iter), recorded(points))
+            assert points == ref_points, name
+            assert (ref.x.tolist(), ref.nit, ref.nfev, ref.success) == (x, nit, nfev, converged), name
+            # f is the value at x; scipy reports min(fsim), NaN when any final vertex is NaN
+            assert repr(f) == repr(objective(ref.x)), name
+            assert math.isnan(ref.fun) or ref.fun == f, name
 
     def test_lockstep_matches_solo_descents(self):
         # two descents from different starts, each scored alone (one point per

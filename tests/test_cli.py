@@ -218,6 +218,19 @@ class TestFit:
         assert warning["warning"] == "row rejected"
         assert "non-finite" in warning["reason"]
 
+    def test_rejected_row_warning_names_its_physical_line(self, bubble_csv, capsys):
+        # the header and 140 rows fill lines 1-141; the quoted field spans lines 142-143
+        with open(bubble_csv, "a") as fh:
+            fh.write('140,5,"1.6\n"\n141,-5,1.6\n')
+        code, _, err = run(
+            capsys,
+            "fit", "--input", str(bubble_csv), "--date-column", "time",
+            "--t1", "0", "--t2", "139", "--filters", "n_starts=2",
+        )
+        assert code == 0
+        warning = one_json_object(err)
+        assert (warning["warning"], warning["line"]) == ("row rejected", 144)
+
     def test_non_utf8_input_is_csv_format_error(self, bubble_csv, capsys):
         with open(bubble_csv, "ab") as fh:
             fh.write(b"140,\xff,1.6\n")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lpplscan import scanner
 from lpplscan.calibration import FilterConfig, SearchConfig
 from lpplscan.errors import DomainError, FitError
 from lpplscan.model import GrowthSpec, LpplParams
@@ -189,10 +190,10 @@ class TestScanGrid:
     def test_pool_is_capped_at_cpus_and_windows(self, monkeypatch):
         import concurrent.futures
 
-        asked = []
+        asked, submitted, fitted = [], [], []
 
         class InlinePool:
-            # records the pool size and runs each submission in this process
+            # records the pool size and each submitted share, and runs the share in this process
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
@@ -203,22 +204,40 @@ class TestScanGrid:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(args[1])
                 future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         s = bubble_series(seed=5)
         cfg = ScanConfig(window_lengths=(60.0, 90.0), end_every=10, search=FAST, seed=3)
-        serial = scan(s, cfg).fits
-        pooled = scan(s, replace(cfg, n_jobs=10_000)).fits
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        assert len(asked) == 1 and 1 <= asked[0] <= min(cpus, len(serial))
-        assert pooled == serial
         one = replace(cfg, window_lengths=(60.0,), end_every=1000)
-        serial = scan(s, one).fits
-        assert len(serial) == 1 and scan(s, replace(one, n_jobs=10_000)).fits == serial
-        assert asked[1:] == []  # one window: fitted in this process, no pool
+        serial, serial_one = scan(s, cfg).fits, scan(s, one).fits
+        assert len(serial_one) == 1
+
+        fit_windows = scanner._fit_windows
+
+        def spy(series, windows, *rest):
+            fitted.append(windows)
+            return fit_windows(series, windows, *rest)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(scanner, "_fit_windows", spy)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        for config, fits in ((replace(cfg, n_jobs=2), serial), (replace(cfg, n_jobs=10_000), serial),
+                             (replace(one, n_jobs=10_000), serial_one)):
+            for record in (asked, submitted, fitted):
+                record.clear()
+            assert scan(s, config).fits == fits
+            k = min(config.n_jobs, cpus, len(fits))
+            # k processes compute: k - 1 workers, and no pool at all when k == 1
+            assert asked == ([k - 1] if k > 1 else [])
+            assert len(submitted) == k - 1
+            in_process = [share for share in fitted if not any(share is sub for sub in submitted)]
+            assert len(in_process) == 1 and len(fitted) == k
+            # the shares cover every window exactly once
+            spans = sorted((w.start, w.stop) for share in fitted for w in share)
+            assert spans == sorted((f.window.start, f.window.stop) for f in fits)
 
     def test_import_leaves_the_process_pool_out(self):
         # the pool's modules load only when a scan runs on more than one job

@@ -59,6 +59,12 @@ class TestLoadCsv:
         assert result.rejected[0].line == 3
         assert "-5" in result.rejected[0].reason
 
+    def test_rejected_row_is_numbered_by_physical_line(self):
+        # a quoted field holding a line break spans two lines, and a blank line counts as one
+        result = load_csv('date,price,note\n1,10,"a\nb"\n2,20,x\n3,-5,y\n\n4,40,z\n5,nan,w\n')
+        assert [r.line for r in result.rejected] == [5, 8]
+        assert list(result.series.times) == [1.0, 2.0, 4.0]
+
     @pytest.mark.parametrize(
         "price, reason",
         [("inf", "non-finite price"), ("nan", "non-finite price"), ("-inf", "non-finite price"),
