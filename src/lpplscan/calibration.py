@@ -130,7 +130,7 @@ class FitResult:
     n_points: int
     qualified: bool
     sign: str
-    sse_line: float | None = None  # sse of the best straight-line fit, for the line-gain filter
+    sse_line: float | None = None  # sse of the window's least-squares trend line, for the line-gain filter
     failures: tuple[str, ...] = ()
     checks: dict = field(default_factory=dict)
 
@@ -252,19 +252,20 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
     beta, sse, ldt, X, resid = _linear_fit(dt, y, z[:, 1:2], z[:, 2:3])
     kept = beta.copy()
     live = np.arange(len(z))
-    for _ in range(_POLISH_STEPS):
-        zl, spanl = z[live], span[live]
-        m, omega = zl[:, 1:2], zl[:, 2:3]
-        # the basis columns dt^m, dt^m cos(omega ldt) and dt^m sin(omega ldt)
-        pw, pc, ps = X[..., 1], X[..., 2], X[..., 3]
-        F = beta[:, 1:2] * pw + beta[:, 2:3] * pc + beta[:, 3:4] * ps
-        H = beta[:, 3:4] * pc - beta[:, 2:3] * ps
-        D = np.empty(F.shape + (3,))
-        D[..., 0] = spanl * (m * F + omega * H) / dt
-        D[..., 1] = ldt * F
-        D[..., 2] = ldt * H
-        Xt = X.swapaxes(-1, -2)
-        with np.errstate(all="ignore"):
+    # every step, its Jacobian included: an overflowed row goes non-finite silently
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_STEPS):
+            zl, spanl = z[live], span[live]
+            m, omega = zl[:, 1:2], zl[:, 2:3]
+            # the basis columns dt^m, dt^m cos(omega ldt) and dt^m sin(omega ldt)
+            pw, pc, ps = X[..., 1], X[..., 2], X[..., 3]
+            F = beta[:, 1:2] * pw + beta[:, 2:3] * pc + beta[:, 3:4] * ps
+            H = beta[:, 3:4] * pc - beta[:, 2:3] * ps
+            D = np.empty(F.shape + (3,))
+            D[..., 0] = spanl * (m * F + omega * H) / dt
+            D[..., 1] = ldt * F
+            D[..., 2] = ldt * H
+            Xt = X.swapaxes(-1, -2)
             # a singular matrix leaves its own row NaN, the others untouched
             J = X @ _solve(Xt @ X, Xt @ D) - D
             Jt = J.swapaxes(-1, -2)
@@ -276,19 +277,19 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
             JtJ = np.where(out[:, :, None], np.eye(3), JtJ)
             g = np.where(out, held - zl, g)
             step = _solve(JtJ, g[..., None])[..., 0]
-        ok = np.isfinite(step).all(axis=1)
-        trial = np.clip(zl[ok] + step[ok], lo, hi)
-        rows = live[ok]
-        dt = trial[:, :1] * span[rows] + rev[rows]
-        beta, new, ldt, X, resid = _linear_fit(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
-        old = sse[rows]
-        better = new < old
-        z[rows[better]], sse[rows[better]], kept[rows[better]] = trial[better], new[better], beta[better]
-        go = better & (old - new > _POLISH_GAIN * old)
-        live = rows[go]
-        if not live.size:
-            break
-        dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
+            ok = np.isfinite(step).all(axis=1)
+            trial = np.clip(zl[ok] + step[ok], lo, hi)
+            rows = live[ok]
+            dt = trial[:, :1] * span[rows] + rev[rows]
+            beta, new, ldt, X, resid = _linear_fit(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
+            old = sse[rows]
+            better = new < old
+            z[rows[better]], sse[rows[better]], kept[rows[better]] = trial[better], new[better], beta[better]
+            go = better & (old - new > _POLISH_GAIN * old)
+            live = rows[go]
+            if not live.size:
+                break
+            dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
     return z, sse, kept
 
 
@@ -549,6 +550,14 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     f = sse / scale[owner]
     done = np.isfinite(f)
 
+    # each window's least-squares trend line, on the basis [1, x] with x = (t - t_first) / (t_last - t_first):
+    # x spans [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones)
+    with np.errstate(all="ignore"):
+        x = (tt - tt[:, :1]) / (tt[:, -1:] - tt[:, :1])
+        line = np.stack([np.ones_like(x), x], axis=-1)
+        line_t = line.swapaxes(-1, -2)
+        sse_line = _residuals(line, y, _solve(line_t @ line, line_t @ y[..., None])[..., 0])[1]
+
     fits = []
     for w, window in enumerate(windows):
         own = slice(_DESCENTS * w, _DESCENTS * (w + 1))
@@ -562,8 +571,6 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
         u, m, omega = z[k].tolist()
         A, B, c1, c2 = beta[k].tolist()
         params = LpplParams.from_linear(window.t2 + u * float(span[w, 0]), m, omega, A, B, c1, c2)
-        line = np.polynomial.polynomial.polyfit(tt[w] - tt[w, 0], y[w], 1)
-        line_resid = y[w] - np.polynomial.polynomial.polyval(tt[w] - tt[w, 0], line)
         fit = FitResult(
             params=params,
             window=window,
@@ -572,7 +579,7 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
             n_points=n,
             qualified=False,
             sign=sign_of(B),
-            sse_line=float(line_resid @ line_resid),
+            sse_line=float(sse_line[w]),
         )
         fits.append(qualify(fit, filters))
     return fits

@@ -135,10 +135,7 @@ def _load_series(path: str, date_column: str, price_column: str):
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"input {path} is not UTF-8 text ({exc.reason})") from None
     for rej in result.rejected:
-        print(
-            json.dumps({"warning": "row rejected", "line": rej.line, "reason": rej.reason}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"warning": "row rejected", **dataclasses.asdict(rej)}), file=sys.stderr)
     return result.series
 
 
@@ -237,9 +234,8 @@ def cmd_cascade(args) -> int:
     rows = model.cascade(args.p0, args.rate, args.steps)
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "population", "rate", "doubling_time"])
-        for row in rows:
-            writer.writerow([_fmt(row.time), _fmt(row.population), _fmt(row.rate), _fmt(row.doubling_time)])
+        writer.writerow(f.name for f in dataclasses.fields(model.CascadeState))
+        writer.writerows([_fmt(v) for v in dataclasses.astuple(row)] for row in rows)
     return 0
 
 

@@ -11,7 +11,7 @@ calibration screen's pre-score asks for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,17 +48,7 @@ class LpplParams:
         return cls(t_c=t_c, m=m, omega=omega, phi=phi, A=A, B=B, C=C)
 
     def as_dict(self) -> dict:
-        return {
-            "t_c": self.t_c,
-            "m": self.m,
-            "omega": self.omega,
-            "phi": self.phi,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "C1": self.c1,
-            "C2": self.c2,
-        }
+        return {**asdict(self), "C1": self.c1, "C2": self.c2}
 
 
 def lppl_log_price(p: LpplParams, t):

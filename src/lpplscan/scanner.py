@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -116,15 +116,7 @@ class AlarmReport:
                     "negative": r.negative_count,
                     "sign": r.sign,
                     "tc_samples": list(r.tc_samples),
-                    "tc_band": (
-                        None
-                        if r.tc_band is None
-                        else {
-                            "low": r.tc_band.low,
-                            "median": r.tc_band.median,
-                            "high": r.tc_band.high,
-                        }
-                    ),
+                    "tc_band": None if r.tc_band is None else asdict(r.tc_band),
                 }
                 for r in self.records
             ],

@@ -8,7 +8,7 @@ series so recovery tests need no side channel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -76,14 +76,8 @@ def generate(spec: SynthSpec) -> SynthResult:
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed)
         log_values = log_values + rng.normal(0.0, spec.noise_sigma, size=n)
-    truth.update(
-        {
-            "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
-            "t_start": spec.t_start,
-            "t_end": float(times[-1]),
-            "step": spec.step,
-        }
-    )
+    # the spec's grid, noise and seed; t_end is the grid's last time
+    truth.update({f.name: getattr(spec, f.name) for f in fields(SynthSpec) if f.name not in ("regime", "label")})
+    truth["t_end"] = float(times[-1])
     series = PriceSeries(times, np.exp(log_values), label=spec.label)
     return SynthResult(series=series, truth=truth)

@@ -128,7 +128,9 @@ def slice_window(
     t2: float,
     min_points: int = DEFAULT_MIN_WINDOW_POINTS,
 ) -> FitWindow:
-    """Window covering every observation with t1 <= time <= t2."""
+    """Window covering every observation with t1 <= time <= t2, for finite t1 < t2."""
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise WindowError(f"window bounds [{t1}, {t2}] must be finite")
     if not t1 < t2:
         raise WindowError(f"window start {t1} must precede end {t2}")
     start = int(series.times.searchsorted(t1, side="left"))

@@ -546,21 +546,27 @@ class TestFitWindow:
         b = fit_window(s, w, FAST, seed=6)
         assert abs(a.params.t_c - b.params.t_c) < 10
 
-    def test_pure_exponential_not_qualified(self):
+    # the same path in time units of 1e-300, 1e150 and 1e200 days: the trend
+    # line, and so the line-gain verdict, must not depend on the time unit
+    @pytest.mark.parametrize("step", [1.0, 1e-300, 1e150, 1e200])
+    def test_pure_exponential_not_qualified(self, step):
         from lpplscan.model import GrowthSpec
 
         spec = SynthSpec(
-            regime=GrowthSpec(kind="exponential", rate=0.002, p0=10.0),
+            regime=GrowthSpec(kind="exponential", rate=0.002 / step, p0=10.0),
             t_start=0,
-            t_end=199,
-            step=1.0,
+            t_end=199 * step,
+            step=step,
             noise_sigma=0.01,
             seed=2,
         )
         s = generate(spec).series
-        fit = fit_window(s, full_window(s), FAST, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_window(s, full_window(s), FAST, seed=4)
         assert not fit.qualified
-        assert fit.failures
+        assert "beats_trend_line" in fit.failures
+        assert fit.sse_line == pytest.approx(0.0185104776686, rel=1e-9)
 
     def test_rmse_definition(self):
         s = lppl_series(noise=0.02, seed=1)
@@ -618,6 +624,14 @@ class TestFitWindow:
         assert [repr(f) for f in grouped] == [
             repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)
         ]
+
+    def test_far_window_end_fits_without_warnings(self):
+        # at t2 = 1e308 the polish's Jacobian overflows; the fit takes that silently
+        s = lppl_series(noise=0.01, seed=5, n=120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_window(s, slice_window(s, 0, 1e308), SearchConfig(n_starts=2, max_iter=50))
+        assert fit.window.t2 == 1e308 and not fit.qualified
 
     def test_overflowed_box_fails_without_warnings(self):
         # every basis row overflows: the kernel turns it into an inf sse, silently

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -20,21 +21,26 @@ def one_json_object(err):
     return json.loads(lines[0])
 
 
-@pytest.fixture
-def bubble_csv(tmp_path, capsys):
-    path = tmp_path / "bubble.csv"
+def write_bubble(capsys, path, step=1.0):
+    """A seeded bubble with t_c = 150 steps on a grid of 140 steps; B, C and phi absorb the time unit."""
     code, out, _ = run(
         capsys,
         "synth",
         "--regime", "lppl",
-        "--params", "t_c=150", "m=0.5", "omega=6.28", "phi=1", "A=8", "B=-0.8", "C=0.05",
-        "--grid", "0,139,1",
+        "--params", f"t_c={150 * step!r}", "m=0.5", "omega=6.28", f"phi={(1 + 6.28 * math.log(step)) % (2 * math.pi)!r}",
+        "A=8", f"B={-0.8 / step**0.5!r}", f"C={0.05 / step**0.5!r}",
+        "--grid", f"0,{139 * step!r},{step!r}",
         "--noise", "0.01",
         "--seed", "7",
         "--out", str(path),
     )
     assert code == 0
     return path
+
+
+@pytest.fixture
+def bubble_csv(tmp_path, capsys):
+    return write_bubble(capsys, tmp_path / "bubble.csv")
 
 
 class TestPrice:
@@ -171,19 +177,22 @@ class TestSynth:
 
 
 class TestFit:
-    def test_fit_json(self, bubble_csv, capsys, tmp_path):
+    # the same bubble in time units of 1e-300 to 1e200 days: stderr stays empty at every one
+    @pytest.mark.parametrize("step", [1.0, 1e-300, 1e150, 1e200])
+    def test_fit_json(self, capsys, tmp_path, step):
+        bubble_csv = write_bubble(capsys, tmp_path / "bubble.csv", step)
         out = tmp_path / "fit.json"
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "fit", "--input", str(bubble_csv), "--date-column", "time",
-            "--t1", "0", "--t2", "139",
+            "--t1", "0", "--t2", repr(139 * step),
             "--filters", "n_starts=6",
             "--seed", "5",
             "--out", str(out),
         )
-        assert code == 0
+        assert (code, err) == (0, "")
         blob = json.loads(out.read_text())
-        assert blob["params"]["t_c"] == pytest.approx(150.0, abs=10.0)
+        assert blob["params"]["t_c"] == pytest.approx(150.0 * step, abs=10.0 * step)
         assert blob["qualified"] is True
         assert blob["sign"] == "positive_bubble"
 

@@ -187,6 +187,12 @@ class TestSliceWindow:
         with pytest.raises(WindowError):
             slice_window(s, 50.0, 40.0)
 
+    @pytest.mark.parametrize("t1, t2", [(0.0, math.inf), (-math.inf, 99.0)], ids=["inf", "-inf"])
+    def test_non_finite_bound(self, t1, t2):
+        s = daily_series(100)
+        with pytest.raises(WindowError, match="must be finite"):
+            slice_window(s, t1, t2)
+
     def test_points_are_contiguous_subsequence(self):
         s = daily_series(100)
         w = slice_window(s, 12.3, 61.7)
