@@ -69,7 +69,7 @@ _POLISH_STEPS = 8
 _POLISH_GAIN = 1e-15  # relative sse gain at or below which a polish step ends the row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterConfig:
     """Qualification thresholds guarding against over-fitting.
 
@@ -103,7 +103,7 @@ class FilterConfig:
             raise DomainError("min_line_gain must be below 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConfig:
     """Effort of the (t_c, m, omega) search: a Latin-hypercube screen of
     50 * n_starts points (n_starts <= 10,000), then two Nelder-Mead descents
@@ -121,7 +121,7 @@ class SearchConfig:
             raise DomainError(f"n_starts must lie in [1, {_MAX_STARTS}] and max_iter be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     params: LpplParams
     window: FitWindow

@@ -20,7 +20,7 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LpplParams:
     """The seven parameters of ln P(t) = A + B(tc-t)^m + C(tc-t)^m cos(w ln(tc-t) - phi)."""
 
@@ -104,7 +104,7 @@ def scaling_ratio(omega: float) -> float:
     return math.exp(TWO_PI / omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DividendModel:
     D: float  # expected annual dividend
     r: float  # total expected return, fraction/yr
@@ -131,7 +131,7 @@ def gordon_shapiro_return(D: float, P: float, g: float) -> float:
     return D / P + g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeState:
     time: float  # years since start
     population: float
@@ -173,7 +173,7 @@ def singular_time(r0: float) -> float:
     return 2.0 * math.log(2.0) / r0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrowthSpec:
     """One of the reference trajectories: exponential, logistic, or hyperbolic."""
 

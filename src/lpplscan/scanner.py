@@ -35,7 +35,13 @@ def default_window_ladder() -> tuple[float, ...]:
     return tuple(lengths)
 
 
-@dataclass(frozen=True)
+def _check_band(band) -> None:
+    """Raises DomainError unless band is two quantile levels with 0 < low < 0.5 < high < 1."""
+    if len(band) != 2 or not 0 < band[0] < 0.5 < band[1] < 1:
+        raise DomainError("band must be two levels with 0 < low < 0.5 < high < 1")
+
+
+@dataclass(frozen=True, slots=True)
 class ScanConfig:
     window_lengths: tuple[float, ...] = field(default_factory=default_window_ladder)
     end_every: int = 5  # evaluate every k-th observation, anchored at the last
@@ -57,25 +63,24 @@ class ScanConfig:
             raise DomainError("n_jobs must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not 0 < self.band[0] < 0.5 < self.band[1] < 1:
-            raise DomainError("band must satisfy 0 < low < 0.5 < high < 1")
+        _check_band(self.band)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanResult:
     fits: tuple[FitResult, ...]
     n_skipped: int
     end_dates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TcBand:
     low: float
     median: float
     high: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateRecord:
     date: float
     alarm: float
@@ -88,7 +93,7 @@ class DateRecord:
     tc_band: TcBand | None  # None = no qualified fit, no signal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlarmReport:
     label: str
     records: tuple[DateRecord, ...]
@@ -252,8 +257,10 @@ def tc_distribution(
 ) -> TcBand | None:
     """Empirical (low, median, high) quantiles of qualified critical times at `date`.
 
-    Returns None ("no signal") when no qualified fit ends at the date.
+    Returns None ("no signal") when no qualified fit ends at the date. Raises
+    DomainError unless band is two levels with 0 < low < 0.5 < high < 1.
     """
+    _check_band(band)
     samples = [f.params.t_c for f in _fits_at(ensemble, date) if f.qualified]
     if not samples:
         return None

@@ -20,7 +20,7 @@ from .timeseries import PriceSeries
 _MAX_POINTS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthSpec:
     regime: GrowthSpec | LpplParams
     t_start: float
@@ -53,7 +53,7 @@ class SynthSpec:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthResult:
     series: PriceSeries
     truth: dict = field(default_factory=dict)

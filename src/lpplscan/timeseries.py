@@ -50,7 +50,7 @@ def _parse_price(text: str) -> float:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceSeries:
     """Immutable, time-sorted series of strictly positive prices."""
 
@@ -92,7 +92,7 @@ class PriceSeries:
         return float(self.times[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitWindow:
     """Half-open index range [start, stop) resolving [t1, t2] within a series."""
 
@@ -144,19 +144,19 @@ def slice_window(
     return FitWindow(t1=t1, t2=t2, start=start, stop=stop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CsvOptions:
     date_column: str = "date"
     price_column: str = "price"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedRow:
     line: int
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadResult:
     series: PriceSeries
     rejected: tuple[RejectedRow, ...]

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -256,6 +257,31 @@ class TestScanGrid:
         )
         assert out.stdout.split() == ["[]", "[]"]
 
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pooled_report_under_start_method(self, method):
+        # a worker that is not forked gets its share, and returns its fits, only through pickle
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if cpus < 2:
+            pytest.skip("a pooled scan needs 2 CPUs")
+        code = (
+            "import dataclasses, multiprocessing, sys, lpplscan as L\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "bubble = L.LpplParams(t_c=150.0, m=0.5, omega=6.28, phi=1.0, A=8.0, B=-0.8, C=0.05)\n"
+            "s = L.generate(L.SynthSpec(regime=bubble, t_start=0, t_end=139, step=1.0, noise_sigma=0.01, seed=5)).series\n"
+            "cfg = L.ScanConfig(window_lengths=(60.0, 90.0), end_every=20, search=L.SearchConfig(2, 60), seed=3)\n"
+            "one = L.report(s, cfg)\n"
+            "pooled = L.report(s, dataclasses.replace(cfg, n_jobs=2))\n"
+            "print(one.n_fits, 'concurrent.futures.process' in sys.modules, one == pooled)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        n_fits, pool_started, equal = out.stdout.split()
+        assert int(n_fits) > 2 and pool_started == "True" and equal == "True"
+
     def test_qualified_fraction_peaks_near_tc(self):
         s = bubble_series(seed=2)
         cfg = ScanConfig(
@@ -313,6 +339,18 @@ class TestTcDistribution:
     def test_no_signal(self):
         fits = [fake_fit(10.0, False, t_c=42.0)]
         assert tc_distribution(fits, 10.0) is None
+
+    @pytest.mark.parametrize(
+        "band",
+        [(0.1, 0.9, 0.95), (0.1,), (), (0.9, 0.1), (0.5, 0.9), (0.1, 0.5), (0.0, 0.9), (0.1, 1.0), (math.nan, 0.9)],
+    )
+    def test_band_is_two_levels_around_the_median(self, band):
+        # one check serves the config and the aggregator, whether or not the date has samples
+        with pytest.raises(DomainError, match="band must be two levels"):
+            ScanConfig(band=band)
+        for fits in ([fake_fit(10.0, True, t_c=v) for v in (30, 10, 50)], []):
+            with pytest.raises(DomainError, match="band must be two levels"):
+                tc_distribution(fits, 10.0, band)
 
     def test_nearest_rank_rule(self):
         samples = [1, 2, 3, 4]
