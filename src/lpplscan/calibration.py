@@ -8,21 +8,26 @@ then a variable-projection Gauss-Newton polish of each descent's end (Golub
 & Pereyra 1973, with Kaufman's 1975 Jacobian). The screen is scored in two
 stages (_screen_best), a cheap low-precision pass and an exact check (Higham
 & Mary, "Mixed precision algorithms in numerical linear algebra", 2022): a
-pre-score, the kernel with float32 cos and sin, ranks every point, and only
-its leaders, the points within a relative 1e-3 of the second-best pre-score,
-are scored again exactly. A pre-score that is not finite, or a leader whose
-pre-score lies further than 1e-3 from its exact sse, sends the window to
-the all-exact screen. Either way its two best points are those of the
-all-exact screen. The Nelder-Mead is an in-house ask/tell simplex
-(`_simplex`), a bit-exact transcription of scipy's bounded one written out
-for the three coordinates, so numpy is the only run-time dependency; it
-stops at loose tolerances, and the polish (`_polish`) takes each end to the
-optimum in a few steps. _fit_windows
-fits windows with the same number of points together: each window keeps its
-own screen, scored in bounded batches, and the descents of all of them run in lockstep, each step scoring every live
-descent's next point in one batched call of the least-squares kernel, with a
-row of log-prices per point; their ends are then polished in one batch, and
-the polish's solve at a window's best end is its fit.
+pre-score, the least-squares sse on a basis with float32 cos and sin, ranks
+every point, and only its leaders, the points within a relative 1e-3 of the
+second-best pre-score, are scored again exactly. A pre-score that is not
+finite, or a leader whose pre-score lies further than 1e-3 from its exact
+sse, sends the window to the all-exact screen. Either way its two best
+points are those of the all-exact screen. The Nelder-Mead is an in-house
+ask/tell simplex (`_simplex`), a bit-exact transcription of scipy's bounded
+one written out for the three coordinates, so numpy is the only run-time
+dependency; it stops at loose tolerances, and the polish (`_polish`) takes
+each end to the optimum in a few steps. _fit_windows fits windows with the
+same number of points together. Those that also have the same seed, t_c
+span and times back from their end, as the end dates of one window length
+on a regular grid do, share one screen: one basis and one X'X per batch of
+screen points, solved for all their log-prices at once (one factorization
+for many right-hand sides), and each window's leaders scored exactly. Every
+screen is scored in bounded batches. The descents of all the windows run in
+lockstep, each step scoring every live descent's next point in one batched
+call of the least-squares kernel, with a row of log-prices per point; their
+ends are then polished in one batch, and the polish's solve at a window's
+best end is its fit.
 That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
 nothing; every row of a batch is bit-identical to a one-row call, so a
 window's fit does not depend on the windows fitted with it.
@@ -57,6 +62,7 @@ _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
 _BATCH_ROWS = 4096  # basis rows (points x window length) per batched kernel call
+_SHARED_CELLS = 1 << 17  # pre-scores (points x windows) a shared screen holds at once
 # relative sse error the screen's float32-trig pre-score may have; its leaders
 # are re-scored exactly, and a larger error seen there falls back to the exact screen
 _PRESCORE_TOL = 1e-3
@@ -196,11 +202,12 @@ def _solve(A, b):
     return _umath_linalg.solve(A, b, signature="dd->d")
 
 
-def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega, trig32=False):
+def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
     """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
 
-    The one linear solve of calibration: the screen, the descents, the
-    polish (whose solve is the fit) and solve_linear all go through it. A
+    The one exact linear solve of calibration: the screen's exact scores,
+    the descents, the polish (whose solve is the fit) and solve_linear all
+    go through it; only the screen's pre-score solves on its own. A
     batch of P points passes dt of shape (P, n), with m and omega scalars or
     (P, 1) columns; y is one window's (n,) log-prices or a (P, n) row per
     point. beta has shape (P, 4) and sse shape (P,). Every row is
@@ -208,11 +215,9 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega, trig32=False):
     kernels per row (einsum does not).
     Normal equations; only a row whose X'X is singular is re-solved, by
     minimum-norm lstsq. An overflowed basis gets sse inf; nothing warns.
-    trig32 builds the basis with float32 cos and sin (model._basis): the
-    screen's pre-score, an approximate sse that only ranks points.
     """
     with np.errstate(all="ignore"):
-        ldt, X = _basis(dt, m, omega, trig32)
+        ldt, X = _basis(dt, m, omega)
         Xt = X.swapaxes(-1, -2)
         G = Xt @ X
         beta = _solve(G, Xt @ y[..., None])[..., 0]
@@ -293,35 +298,76 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return z, sse, kept
 
 
-def _screen_sse(z, span, rev, y, trig32=False) -> np.ndarray:
-    """sse of one window's screen points z = (u, m, omega), scored in batches of about _BATCH_ROWS basis rows."""
-    rows = max(1, _BATCH_ROWS // len(y))
-    return np.concatenate([
-        _linear_fit(part[:, :1] * span + rev, y, part[:, 1:2], part[:, 2:3], trig32)[1]
-        for part in (z[i:i + rows] for i in range(0, len(z), rows))
+def _screen_sse(z, span, rev, y) -> np.ndarray:
+    """Exact sse of screen points z = (u, m, omega) on y, one window's (n,) log-prices or a (P, n) row per point.
+
+    Scored in batches of about _BATCH_ROWS basis rows; every sse is that of a one-row _linear_fit call.
+    """
+    rows = max(1, _BATCH_ROWS // y.shape[-1])
+    return np.concatenate([np.empty(0)] + [
+        _linear_fit(z[i:i + rows, :1] * span + rev, y if y.ndim == 1 else y[i:i + rows],
+                    z[i:i + rows, 1:2], z[i:i + rows, 2:3])[1]
+        for i in range(0, len(z), rows)
     ])
 
 
-def _screen_best(z, span, rev, y, scale) -> np.ndarray:
-    """Indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
+def _screen_prescore(z, span, rev, y) -> np.ndarray:
+    """Approximate sse, (points, windows), of screen points z on every row of y, windows that share span and rev.
 
-    Two stages. The pre-score, _linear_fit with float32 cos and sin, ranks
-    every point; its leaders, each point within a relative _PRESCORE_TOL
-    margin of the second-best pre-score, are scored again exactly, and their
-    best two are the result. If every pre-score lies within _PRESCORE_TOL of
-    its exact sse, the exact best two are among the leaders, so the result is
-    that of the exact screen. The exact screen is taken instead when a
-    pre-score is not finite or a leader's exact sse is not finite or differs
-    from its pre-score by more than _PRESCORE_TOL.
+    One basis per batch of points, built with float32 cos and sin
+    (model._basis), one X'X and one solve for all the windows' right-hand
+    sides X'Y, and explicit residuals against that basis. A batch holds at
+    most about _BATCH_ROWS basis rows and 4 * _BATCH_ROWS residuals. A
+    singular or overflowed X'X leaves its point's sse NaN in every window.
     """
-    pre = _screen_sse(z, span, rev, y, trig32=True)
-    if np.isfinite(pre).all():
-        second = np.partition(pre, _DESCENTS - 1)[_DESCENTS - 1]
-        lead = np.flatnonzero(pre <= second * (1 + _PRESCORE_TOL) / (1 - _PRESCORE_TOL))
-        exact = _screen_sse(z[lead], span, rev, y)
-        if np.isfinite(exact).all() and (np.abs(exact - pre[lead]) <= _PRESCORE_TOL * exact).all():
-            return lead[np.argsort(exact / scale, kind="stable")[:_DESCENTS]]
-    return np.argsort(_screen_sse(z, span, rev, y) / scale, kind="stable")[:_DESCENTS]
+    rows = max(1, min(_BATCH_ROWS, 4 * _BATCH_ROWS // len(y)) // y.shape[1])
+    pre = np.empty((len(z), len(y)))
+    with np.errstate(all="ignore"):
+        for i in range(0, len(z), rows):
+            part = z[i:i + rows]
+            X = _basis(part[:, :1] * span + rev, part[:, 1:2], part[:, 2:3], trig32=True)[1]
+            Xt = X.swapaxes(-1, -2)
+            resid = X @ _solve(Xt @ X, Xt @ y.T)
+            np.subtract(y.T, resid, out=resid)
+            resid *= resid
+            pre[i:i + rows] = resid.sum(axis=1)
+    return pre
+
+
+def _screen_best(z, span, rev, y, scale) -> np.ndarray:
+    """Per row of y, the indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
+
+    The rows are windows with equal span and rev, so they share the screen's
+    basis. Two stages. The pre-score (_screen_prescore) ranks every point
+    for every window; each window's leaders, the points within a relative
+    _PRESCORE_TOL margin of its second-best pre-score, are scored again
+    exactly, all windows' in one batch, and their best two are the result.
+    If every pre-score lies within _PRESCORE_TOL of its exact sse, the exact
+    best two are among the leaders, so the result is that of the exact
+    screen. A window whose pre-scores are not all finite, or whose leaders'
+    exact sse is not finite or differs from its pre-score by more than
+    _PRESCORE_TOL, has its own screen scored exactly instead. The windows
+    are taken in blocks that hold at most about _SHARED_CELLS pre-scores.
+    """
+    width = max(1, _SHARED_CELLS // len(z))
+    best = np.empty((len(y), _DESCENTS), dtype=np.intp)
+    for c in range(0, len(y), width):
+        block, block_scale = y[c:c + width], scale[c:c + width]
+        pre = _screen_prescore(z, span, rev, block)
+        second = np.partition(pre, _DESCENTS - 1, axis=0)[_DESCENTS - 1]
+        # every window's leaders, window by window, each window's in index order
+        owner, lead = np.nonzero((pre <= second * (1 + _PRESCORE_TOL) / (1 - _PRESCORE_TOL)).T)
+        exact = _screen_sse(z[lead], span, rev, block[owner])
+        held = np.isfinite(exact) & (np.abs(exact - pre[lead, owner]) <= _PRESCORE_TOL * exact)
+        stops = np.cumsum(np.bincount(owner, minlength=len(block)))
+        for w, col in enumerate(pre.T):
+            own = slice(stops[w - 1] if w else 0, stops[w])
+            if np.isfinite(col).all() and held[own].all():
+                points, sse = lead[own], exact[own]
+            else:  # the guard tripped: this window's whole screen, scored exactly
+                points, sse = np.arange(len(z)), _screen_sse(z, span, rev, block[w])
+            best[c + w] = points[np.argsort(sse / block_scale[w], kind="stable")[:_DESCENTS]]
+    return best
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -343,8 +389,15 @@ def _simplex(z0, lo, hi, max_iter: int):
     options={"maxiter": max_iter, "fatol": _FATOL, "xatol": _XATOL}) for a
     finite start and box, unrolled for three coordinates: the same moves,
     clipping, float operations in the same order and vertex order, so the
-    same objective values give bit-identical points. converged means the
-    tolerance test stopped the descent before max_iter iterations.
+    same objective values give bit-identical points. Two shortcuts keep
+    that: a coordinate is clipped by comparisons, not min and max calls, and
+    after a move other than a shrink the new vertex is inserted among the
+    three kept ones when their values strictly increase and its value equals
+    none of them, so that its place is unique (last if it is NaN, as
+    np.argsort puts it); otherwise _simplex_order sorts all four as scipy
+    does.
+    converged means the tolerance test stopped the descent before max_iter
+    iterations.
     """
     l0, l1, l2 = (float(v) for v in lo)
     h0, h1, h2 = (float(v) for v in hi)
@@ -374,35 +427,51 @@ def _simplex(z0, lo, hi, max_iter: int):
             break
         # the centroid of all but the worst vertex, summed in vertex order
         c0, c1, c2 = (b0 + p0 + q0) / 3, (b1 + p1 + q1) / 3, (b2 + p2 + q2) / 3
-        xr = [min(h0, max(l0, 2 * c0 - w0)), min(h1, max(l1, 2 * c1 - w1)), min(h2, max(l2, 2 * c2 - w2))]
-        fxr = yield xr  # reflection
+        # each move clips a coordinate v to the box as min(h, max(l, v)) would, by comparisons
+        v0, v1, v2 = 2 * c0 - w0, 2 * c1 - w1, 2 * c2 - w2
+        xr = [(v0 if v0 < h0 else h0) if v0 > l0 else l0, (v1 if v1 < h1 else h1) if v1 > l1 else l1,
+              (v2 if v2 < h2 else h2) if v2 > l2 else l2]
+        x = xr
+        f = fxr = yield xr  # reflection
         if fxr < f0:
-            xe = [min(h0, max(l0, 3 * c0 - 2 * w0)), min(h1, max(l1, 3 * c1 - 2 * w1)),
-                  min(h2, max(l2, 3 * c2 - 2 * w2))]
+            v0, v1, v2 = 3 * c0 - 2 * w0, 3 * c1 - 2 * w1, 3 * c2 - 2 * w2
+            xe = [(v0 if v0 < h0 else h0) if v0 > l0 else l0, (v1 if v1 < h1 else h1) if v1 > l1 else l1,
+                  (v2 if v2 < h2 else h2) if v2 > l2 else l2]
             fxe = yield xe  # expansion
-            sim[3], fsim[3] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < f2:
-            sim[3], fsim[3] = xr, fxr
-        else:
-            if fxr < f3:
-                xc = [min(h0, max(l0, 1.5 * c0 - 0.5 * w0)), min(h1, max(l1, 1.5 * c1 - 0.5 * w1)),
-                      min(h2, max(l2, 1.5 * c2 - 0.5 * w2))]
-                fxc = yield xc  # outside contraction
-                accept = fxc <= fxr
+            if fxe < fxr:
+                x, f = xe, fxe
+        elif not fxr < f2:
+            outside = fxr < f3
+            if outside:
+                v0, v1, v2 = 1.5 * c0 - 0.5 * w0, 1.5 * c1 - 0.5 * w1, 1.5 * c2 - 0.5 * w2
             else:
-                xc = [min(h0, max(l0, 0.5 * c0 + 0.5 * w0)), min(h1, max(l1, 0.5 * c1 + 0.5 * w1)),
-                      min(h2, max(l2, 0.5 * c2 + 0.5 * w2))]
-                fxc = yield xc  # inside contraction
-                accept = fxc < f3
-            if accept:
-                sim[3], fsim[3] = xc, fxc
+                v0, v1, v2 = 0.5 * c0 + 0.5 * w0, 0.5 * c1 + 0.5 * w1, 0.5 * c2 + 0.5 * w2
+            xc = [(v0 if v0 < h0 else h0) if v0 > l0 else l0, (v1 if v1 < h1 else h1) if v1 > l1 else l1,
+                  (v2 if v2 < h2 else h2) if v2 > l2 else l2]
+            fxc = yield xc  # outside or inside contraction
+            if (fxc <= fxr) if outside else (fxc < f3):
+                x, f = xc, fxc
             else:  # every vertex halfway towards the best
-                for j, (v0, v1, v2) in ((1, (p0, p1, p2)), (2, (q0, q1, q2)), (3, (w0, w1, w2))):
-                    sim[j] = [min(h0, max(l0, b0 + 0.5 * (v0 - b0))), min(h1, max(l1, b1 + 0.5 * (v1 - b1))),
-                              min(h2, max(l2, b2 + 0.5 * (v2 - b2)))]
+                for j, (a0, a1, a2) in ((1, (p0, p1, p2)), (2, (q0, q1, q2)), (3, (w0, w1, w2))):
+                    v0, v1, v2 = b0 + 0.5 * (a0 - b0), b1 + 0.5 * (a1 - b1), b2 + 0.5 * (a2 - b2)
+                    sim[j] = [(v0 if v0 < h0 else h0) if v0 > l0 else l0, (v1 if v1 < h1 else h1) if v1 > l1 else l1,
+                              (v2 if v2 < h2 else h2) if v2 > l2 else l2]
                     fsim[j] = yield sim[j]
+                iterations += 1
+                sim, fsim = _simplex_order(sim, fsim)
+                continue
         iterations += 1
-        sim, fsim = _simplex_order(sim, fsim)
+        # x replaces the worst vertex. When the three kept values strictly
+        # increase and f equals none of them, the order is unique, a NaN f
+        # last: x is inserted there. Otherwise _simplex_order sorts all four.
+        b, p, q = sim[0], sim[1], sim[2]
+        if f0 < f1 < f2 and f != f0 and f != f1 and f != f2:
+            if f < f1:
+                sim, fsim = ([x, b, p, q], [f, f0, f1, f2]) if f < f0 else ([b, x, p, q], [f0, f, f1, f2])
+            else:
+                sim, fsim = ([b, p, x, q], [f0, f1, f, f2]) if f < f2 else ([b, p, q, x], [f0, f1, f2, f])
+        else:
+            sim, fsim = _simplex_order([b, p, q, x], [f0, f1, f2, f])
     return sim[0], fsim[0], iterations < max_iter, iterations
 
 
@@ -474,8 +543,9 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
 
     Windows with the same number of points are fitted together: their
     descents run in lockstep, and each step scores every live descent's next
-    point in one kernel call. Every result is bit-identical to fit_window on
-    its own window.
+    point in one kernel call; those that also share their seed and time grid
+    share their screen. Every result is bit-identical to fit_window on its
+    own window.
     """
     groups: dict[int, list[int]] = {}
     for i, window in enumerate(windows):
@@ -492,12 +562,13 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
 
 
 def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
-    """Calibration of windows with equal n_points: a screen per window, then all descents in lockstep.
+    """Calibration of windows with equal n_points: their screens, then all descents in lockstep.
 
-    Each window's screen is scored by _screen_best: a float32-trig pre-score
-    of every point, then an exact score of its leaders, or of every point
-    when the guard trips; either way the two starts are the all-exact
-    screen's.
+    Windows with the same seed, span and rev bytes share one screen, which
+    _screen_best scores: a float32-trig pre-score of every point for all of
+    them, then an exact score of each window's leaders, or of every point
+    for a window whose guard trips; either way each window's two starts are
+    those of its own all-exact screen.
     """
     tt = np.stack([w.times(series) for w in windows])
     y = np.stack([w.log_prices(series) for w in windows])
@@ -515,14 +586,19 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     # all timestamps, which makes the whole search path translation-exact
     rev = np.stack([w.t2 - row for w, row in zip(windows, tt)])
 
-    # each window's screen, scored in batches of about _BATCH_ROWS basis
-    # rows, which bounds the screen's memory; only its two best points stay
-    starts, descents = [], []
+    # one screen for the windows with the same seed, span and times back from
+    # their end, which share its points and basis; only each window's two best points stay
+    shared: dict[tuple, list[int]] = {}
     for w, seed in enumerate(seeds):
-        screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, int(seed)) * (hi - lo)
-        best = _screen_best(screen, span[w], rev[w], y[w], scale[w])
-        starts += best.tolist()
-        descents += [_simplex(screen[i], lo, hi, config.max_iter) for i in best]
+        shared.setdefault((int(seed), float(span[w, 0]), rev[w].tobytes()), []).append(w)
+    best = np.empty((len(windows), _DESCENTS), dtype=np.intp)
+    first = np.empty((len(windows), _DESCENTS, 3))
+    for (seed, _, _), ws in shared.items():
+        screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, seed) * (hi - lo)
+        best[ws] = _screen_best(screen, span[ws[0]], rev[ws[0]], y[ws], scale[ws])
+        first[ws] = screen[best[ws]]
+    starts = best.ravel().tolist()
+    descents = [_simplex(z, lo, hi, config.max_iter) for z in first.reshape(-1, 3)]
     owner = np.repeat(np.arange(len(windows)), _DESCENTS)  # descent i belongs to window owner[i]
 
     # every descent in lockstep: one kernel call scores each live descent's

@@ -198,14 +198,19 @@ def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
     last, so the newest date is always scanned. Pairs whose window would start
     before the data or hold fewer than min_points observations are skipped;
     n_skipped is the grid size minus the windows fitted. Deterministic given
-    the seed regardless of n_jobs: each pair owns a seed derived from its grid
-    position. A failed fit raises the FitError of the first failing pair in
-    grid order, as the serial scan meets it.
+    the seed regardless of n_jobs: each window length owns one seed, derived
+    from the scan's seed and the length's position in window_lengths, so
+    the windows of one length get the same screen points, and those on one
+    time grid share one screen where they are fitted together (each process
+    of a pooled scan). A failed fit raises the FitError of the first
+    failing pair in grid order, as the serial scan meets it.
     """
     end_dates = tuple(series.times[(len(series) - 1) % config.end_every :: config.end_every].tolist())
 
+    # one seed per window length, so the windows of a length share their screen points
+    length_seeds = [_task_seed(config.seed, wi, 0) for wi in range(len(config.window_lengths))]
     windows, seeds = [], []
-    for di, t2 in enumerate(end_dates):
+    for t2 in end_dates:
         for wi, length in enumerate(config.window_lengths):
             if t2 - length < series.t_start:
                 continue
@@ -213,7 +218,7 @@ def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
                 windows.append(slice_window(series, t2 - length, t2, min_points=config.min_points))
             except WindowError:
                 continue
-            seeds.append(_task_seed(config.seed, wi, di))
+            seeds.append(length_seeds[wi])
     n_skipped = len(end_dates) * len(config.window_lengths) - len(windows)
 
     if not windows:

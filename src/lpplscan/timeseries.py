@@ -80,6 +80,10 @@ class PriceSeries:
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "log_prices", log_prices)
 
+    def __reduce__(self):
+        # pickle and copy.deepcopy rebuild through __init__, so a copy's arrays are validated and read-only too
+        return type(self), (self.times, self.prices, self.label)
+
     def __len__(self) -> int:
         return len(self.times)
 

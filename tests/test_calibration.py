@@ -318,6 +318,51 @@ class TestSimplex:
             assert repr(f) == repr(objective(ref.x)), name
             assert math.isnan(ref.fun) or ref.fun == f, name
 
+    def test_matches_scipy_on_rounded_quadratics(self, monkeypatch):
+        # random bounded quadratics whose values are rounded to 2-5 decimals, so
+        # vertex values tie; every point asked for must be scipy's
+        from scipy.optimize import minimize
+
+        order, ordered = calibration._simplex_order, []
+
+        def spy(sim, fsim):
+            ordered.append(1)
+            return order(sim, fsim)
+
+        monkeypatch.setattr(calibration, "_simplex_order", spy)
+        rng = np.random.default_rng(2023)
+        options = {"fatol": calibration._FATOL, "xatol": calibration._XATOL}
+        inserted = reordered = 0
+        for case in range(240):
+            lo = rng.uniform(-2.0, 1.0, 3) * [1.0, 1.0, 10.0]
+            hi = lo + rng.uniform(0.1, 3.0, 3) * [1.0, 1.0, 10.0]
+            centre = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo))
+            weight, digits = rng.uniform(0.01, 10.0, 3), int(rng.integers(2, 6))
+            start = [
+                rng.uniform(lo, hi),  # inside
+                np.where(rng.random(3) < 0.5, lo, hi),  # on a corner
+                hi + rng.uniform(0.01, 2.0, 3),  # outside
+            ][case % 3].tolist()
+            max_iter = int(rng.integers(1, 300))
+
+            def objective(z, asked):
+                asked.append(z.tolist())
+                return round(float(np.sum(weight * (z - centre) ** 2)), digits)
+
+            ref_points, points = [], []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns about a start outside the bounds
+                ref = minimize(objective, start, args=(ref_points,), method="Nelder-Mead",
+                               bounds=list(zip(lo, hi)), options={"maxiter": max_iter, **options})
+            ordered.clear()
+            (x, f, converged, nit), nfev = drive(_simplex(start, lo, hi, max_iter), lambda z: objective(z, points))
+            assert points == ref_points, case
+            assert (ref.x.tolist(), ref.nit, ref.nfev, ref.success) == (x, nit, nfev, converged), case
+            # every completed iteration ends in an insertion or a call of _simplex_order, after the first simplex's
+            inserted += nit - len(ordered)
+            reordered += len(ordered) - 1
+        assert inserted > 0 and reordered > 0
+
     def test_lockstep_matches_solo_descents(self):
         # two descents from different starts, each scored alone (one point per
         # kernel call) and in lockstep (the live descents' points in one batched call)
@@ -673,23 +718,43 @@ class TestTwoStageScreen:
 
     @staticmethod
     def spy_screens(monkeypatch, prescore_factor=1.0):
-        """Record each window's kernel calls [(trig32, points)] and its starts against the exact screen's."""
-        screen_sse, screen_best = calibration._screen_sse, calibration._screen_best
-        windows = []
+        """Record each window's screen calls [(is the pre-score, points)] and its starts against the exact screen's.
 
-        def spy_sse(z, span, rev, y, trig32=False):
-            windows[-1]["calls"].append((trig32, len(z)))
-            sse = screen_sse(z, span, rev, y, trig32) * (prescore_factor if trig32 else 1.0)
-            if trig32:
-                windows[-1]["prescore_starts"] = np.argsort(sse, kind="stable")[:2].tolist()
-            return sse
+        A shared screen (one _screen_best call) pre-scores all its windows at
+        once and scores their leaders in one batch; each window is credited
+        with the pre-score call and with its own rows of every exact call,
+        told apart by their log-prices.
+        """
+        prescore, screen_sse = calibration._screen_prescore, calibration._screen_sse
+        screen_best = calibration._screen_best
+        windows, share = [], []
+
+        def owner(row):
+            return next(w for w in share if np.array_equal(w["y"], row))
+
+        def spy_prescore(z, span, rev, y):
+            pre = prescore(z, span, rev, y) * prescore_factor
+            for row, col in zip(y, pre.T):
+                w = owner(row)
+                w["calls"].append((True, len(z)))
+                w["prescore_starts"] = np.argsort(col, kind="stable")[:2].tolist()
+            return pre
+
+        def spy_sse(z, span, rev, y):
+            rows = [owner(row) for row in np.broadcast_to(y, (len(z), y.shape[-1]))]
+            for w in {id(w): w for w in rows}.values():
+                w["calls"].append((False, sum(r is w for r in rows)))
+            return screen_sse(z, span, rev, y)
 
         def spy_best(z, span, rev, y, scale):
-            windows.append({"calls": [], "points": len(z)})
+            share[:] = [{"calls": [], "points": len(z), "y": row, "share_size": len(y)} for row in y]
+            windows.extend(share)
             best = screen_best(z, span, rev, y, scale)
-            windows[-1]["starts"] = (best.tolist(), TestTwoStageScreen.exact_starts(z, span, rev, y, scale).tolist())
+            for w, starts, row, row_scale in zip(share, best, y, scale):
+                w["starts"] = (starts.tolist(), TestTwoStageScreen.exact_starts(z, span, rev, row, row_scale).tolist())
             return best
 
+        monkeypatch.setattr(calibration, "_screen_prescore", spy_prescore)
         monkeypatch.setattr(calibration, "_screen_sse", spy_sse)
         monkeypatch.setattr(calibration, "_screen_best", spy_best)
         return windows
@@ -703,6 +768,8 @@ class TestTwoStageScreen:
         "200_starts": ("noisy", (100.0,), SearchConfig(n_starts=200, max_iter=20), 0.01),
         "weekday": ("weekday", (44.0, 90.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
         "near_ties": ("noisy", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
+        # the windows of one length get one seed, so they share one screen
+        "shared": ("noisy", (60.0, 150.0), SearchConfig(n_starts=8, max_iter=20), 0.01),
     }
 
     @staticmethod
@@ -714,7 +781,8 @@ class TestTwoStageScreen:
             s = lppl_series(noise=0.01 if kind == "noisy" else 0.0, seed=6)
         windows = [slice_window(s, t2 - length, t2) for length in lengths for t2 in s.times[-1:-40:-19]]
         filters = FilterConfig(m_range=(m_lo, 0.99))
-        return lambda: [repr(f) for f in _fit_windows(s, windows, search, filters, list(range(len(windows))))]
+        seeds = [i // 3 if case == "shared" else i for i in range(len(windows))]
+        return lambda: [repr(f) for f in _fit_windows(s, windows, search, filters, seeds)]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_picks_the_exact_screens_starts(self, case, monkeypatch):
@@ -731,6 +799,8 @@ class TestTwoStageScreen:
         windows = self.spy_screens(monkeypatch)
         fits()
         assert len(windows) == len(self.CASES[case][1]) * 3
+        # a window shares its screen with the other end dates of its length only when they share its seed
+        assert [w["share_size"] for w in windows] == [3 if case == "shared" else 1] * len(windows)
         for w in windows:
             assert w["starts"][0] == w["starts"][1]
             # the two stages ran and the guard held: a pre-score of every point, then an exact score of fewer
@@ -739,7 +809,7 @@ class TestTwoStageScreen:
         if case == "near_ties":
             assert any(w["prescore_starts"] != w["starts"][1] for w in windows)
 
-    @pytest.mark.parametrize("case", ["m_from_1e-5", "weekday"])
+    @pytest.mark.parametrize("case", ["m_from_1e-5", "weekday", "shared"])
     def test_prescore_off_by_twice_the_tolerance_falls_back(self, case, monkeypatch):
         fits = self.case_fits(case)
         expected = fits()
@@ -760,10 +830,96 @@ class TestTwoStageScreen:
         lo, hi = np.array([1e-6, 1e-5, 2.0]), np.array([1.0, 0.99, 15.0])
         corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
         z = np.vstack([corners, lo + _latin_hypercube(500, 3, n) * (hi - lo)])
-        args = (z[:, :1] * span + rev, s.log_prices, z[:, 1:2], z[:, 2:3])
-        exact, pre = _linear_fit(*args)[1], _linear_fit(*args, trig32=True)[1]
+        exact = _linear_fit(z[:, :1] * span + rev, s.log_prices, z[:, 1:2], z[:, 2:3])[1]
+        pre = calibration._screen_prescore(z, span, rev, s.log_prices[None])[:, 0]
         assert np.isfinite(exact).all()
         assert (np.abs(pre - exact) <= calibration._PRESCORE_TOL / 10 * exact).all()
+
+
+class TestSharedScreen:
+    """Windows with the same seed, n, span and times back from their end share one screen."""
+
+    @staticmethod
+    def grid(calendar):
+        # one seed per window length, as scan gives them, at end dates 9 observations apart
+        if calendar == "daily":
+            s, lengths = lppl_series(noise=0.01, seed=4, n=700, params=replace(TRUE, t_c=740.0)), (60.0, 90.0, 75.0)
+        else:
+            s, lengths = weekday_series(500, seed=4), (44.0, 45.0, 60.0)
+        ends = s.times[-1:-120:-9]
+        windows = [slice_window(s, t2 - length, t2) for length in lengths for t2 in ends]
+        seeds = [3 * lengths.index(length) + 1 for length in lengths for _ in ends]
+        return s, windows, seeds
+
+    @staticmethod
+    def spy_shares(monkeypatch, off=None):
+        """Record each pre-score call's (span, rev bytes, rows); `off` scales one row's pre-score by 1 + 2 tol."""
+        prescore, calls = calibration._screen_prescore, []
+
+        def spy(z, span, rev, y):
+            pre = prescore(z, span, rev, y)
+            calls.append((float(span[0]), rev.tobytes(), y))
+            for j, row in enumerate(y):
+                if off is not None and np.array_equal(row, off):
+                    pre[:, j] *= 1 + 2 * calibration._PRESCORE_TOL
+            return pre
+
+        monkeypatch.setattr(calibration, "_screen_prescore", spy)
+        return calls
+
+    @pytest.mark.parametrize("calendar", ["daily", "weekday"])
+    def test_shared_screen_matches_fit_window(self, calendar, monkeypatch):
+        s, windows, seeds = self.grid(calendar)
+        # the shares the windows must form: equal seed, n_points, span and times back from the end; here
+        # a length has one seed, so a share is keyed by its span and those times, and each holds up to 14 windows
+        expected = {}
+        for w, seed in zip(windows, seeds):
+            expected.setdefault((0.5 * w.length, (w.t2 - w.times(s)).tobytes()), []).append(w)
+        if calendar == "daily":  # each length's windows form one share
+            assert len(expected) == 3
+        else:  # some windows of one length and n lie on different grids, so they may not share
+            assert len(expected) > len({(w.length, w.n_points) for w in windows})
+        calls = self.spy_shares(monkeypatch)
+        grouped = _fit_windows(s, windows, FAST, FilterConfig(), seeds)
+        assert sorted((span, rev, len(y)) for span, rev, y in calls) == sorted(
+            (span, rev, len(share)) for (span, rev), share in expected.items())
+        assert max(len(y) for _, _, y in calls) > 1
+        for span, rev, y in calls:  # a share's rows are its windows' log-prices
+            assert np.array_equal(y, [w.log_prices(s) for w in expected[span, rev]])
+        monkeypatch.undo()
+        assert [repr(f) for f in grouped] == [
+            repr(fit_window(s, w, FAST, seed=seed)) for w, seed in zip(windows, seeds)
+        ]
+
+    def test_prescore_off_in_one_window_falls_back_alone(self, monkeypatch):
+        s, windows, seeds = self.grid("daily")
+        expected = [repr(f) for f in _fit_windows(s, windows, FAST, FilterConfig(), seeds)]
+        off = windows[4].log_prices(s)
+        self.spy_shares(monkeypatch, off)
+        screen_sse, full = calibration._screen_sse, []
+
+        def spy_sse(z, span, rev, y):
+            if y.ndim == 1:  # only a fallback scores one window's whole screen
+                full.append(y)
+            return screen_sse(z, span, rev, y)
+
+        monkeypatch.setattr(calibration, "_screen_sse", spy_sse)
+        assert [repr(f) for f in _fit_windows(s, windows, FAST, FilterConfig(), seeds)] == expected
+        assert len(full) == 1 and np.array_equal(full[0], off)
+
+    def test_shared_screen_memory_is_bounded(self):
+        import tracemalloc
+
+        s = lppl_series(noise=0.01, seed=2, n=400, params=replace(TRUE, t_c=420.0))
+        windows = [slice_window(s, t2 - 150.0, t2) for t2 in s.times[-1:-240:-20]]
+        tracemalloc.start()
+        try:
+            # 12 windows share a screen of 10,000 points; their pre-scores alone would take 1 MB, their residuals 145 MB
+            _fit_windows(s, windows, SearchConfig(n_starts=200, max_iter=20), FilterConfig(), [1] * len(windows))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestNestingOptimality:

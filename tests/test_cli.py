@@ -72,6 +72,8 @@ class TestPrice:
         with pytest.raises(SystemExit) as exc:
             main(["price", "--dividend", "100"])
         assert exc.value.code == 2
+        error = one_json_object(capsys.readouterr().err)["error"]
+        assert error["type"] == "usage" and "--return" in error["message"]
 
 
 class TestCascade:
@@ -470,15 +472,17 @@ class TestConfig:
 
 
 class TestUsage:
-    def test_unknown_flag(self):
+    def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["price", "--bogus", "1"])
         assert exc.value.code == 2
+        assert one_json_object(capsys.readouterr().err)["error"]["type"] == "usage"
 
-    def test_no_subcommand(self):
+    def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+        assert one_json_object(capsys.readouterr().err)["error"]["type"] == "usage"
 
     def test_bad_flag_value_is_one_json_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -42,6 +44,23 @@ class TestPriceSeries:
         s = daily_series()
         with pytest.raises(ValueError):
             s.times[0] = -5.0
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [
+            lambda s: pickle.loads(pickle.dumps(s)),
+            lambda s: pickle.loads(pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-highest", "deepcopy"],
+    )
+    def test_copy_is_immutable(self, copy_of):
+        # a pooled scan's workers get their series by pickle
+        s = copy_of(daily_series())
+        for name in ("times", "prices", "log_prices"):
+            assert not getattr(s, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = -5.0
 
 
 class TestLoadCsv:
