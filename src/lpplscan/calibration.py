@@ -494,8 +494,60 @@ def sign_of(B: float) -> str:
     return NO_SIGN
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a fit's checks are read-only: every fit judged alike shares them")
+
+
+class _Checks(dict):
+    """A judged fit's checks: a dict that refuses every change, since fits judged alike share one."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = setdefault = clear = _read_only
+
+    def __new__(cls, *args, **kwargs):
+        # a mapping built from this one, as dataclasses.asdict builds, is a plain dict again
+        return dict(*args, **kwargs)
+
+    def __reduce__(self):
+        # pickle and deepcopy give back the shared mapping of this outcome
+        return _shared_checks, (tuple(self.items()),)
+
+
+# the (checks, failures) of every verdict so far, keyed by its ordered (name,
+# passed) pairs and the types of the outcomes: bool and numpy.bool_ compare
+# equal but print apart, and numpy parameters give numpy bools. Only bool
+# outcomes are kept, so there are at most 2^6 per set of names and types.
+_VERDICTS: dict[tuple, tuple[_Checks, tuple[str, ...]]] = {}
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _verdict(items: tuple) -> tuple[_Checks, tuple[str, ...]]:
+    """The read-only checks and the failures tuple that every fit with these (name, passed) pairs shares."""
+    types = tuple([type(ok) for _, ok in items])
+    key = (items, types) if _BOOLS.issuperset(types) else None
+    verdict = _VERDICTS.get(key)  # None is never a key
+    if verdict is None:
+        checks = dict.__new__(_Checks)
+        dict.update(checks, items)
+        verdict = checks, tuple(name for name, ok in items if not ok)
+        if key is not None:
+            verdict = _VERDICTS.setdefault(key, verdict)
+    return verdict
+
+
+def _shared_checks(items: tuple) -> _Checks:
+    return _verdict(items)[0]
+
+
 def qualify(fit: FitResult, filters: FilterConfig) -> FitResult:
-    """The fit judged by every filter: qualified, the failed conditions and each check's outcome."""
+    """The fit judged by every filter: qualified, the failed conditions and each check's outcome.
+
+    `checks`, a read-only dict (changing it raises TypeError), and the
+    `failures` tuple are the very objects of every other fit with the same
+    outcome, so a stored ensemble holds one of each per outcome; pickle and
+    deepcopy of `checks` give back the shared one. Its values keep the type
+    the comparisons gave: numpy bools for numpy parameters.
+    """
     p = fit.params
     w = fit.window
     checks: dict[str, bool] = {}
@@ -512,7 +564,7 @@ def qualify(fit: FitResult, filters: FilterConfig) -> FitResult:
         checks["rmse_below_max"] = fit.rmse <= filters.max_rmse
     if filters.min_line_gain is not None and fit.sse_line is not None:
         checks["beats_trend_line"] = fit.sse <= (1.0 - filters.min_line_gain) * fit.sse_line
-    failures = tuple(name for name, ok in checks.items() if not ok)
+    checks, failures = _verdict(tuple(checks.items()))
     return replace(fit, qualified=not failures, failures=failures, checks=checks)
 
 

@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--windows", help="comma-separated window lengths in days")
     p_scan.add_argument("--every", help="evaluate every k-th observation")
     p_scan.add_argument("--band", help="quantile band, e.g. 0.1,0.9")
-    p_scan.add_argument("--jobs", help="max concurrent fits (default 1)")
+    p_scan.add_argument(
+        "--jobs", help="cap on the processes the scan fits with: k = min(jobs, CPUs, windows) (default 1)"
+    )
     p_scan.add_argument("--out", default=".", help="output directory")
     p_scan.set_defaults(func=cmd_scan)
 

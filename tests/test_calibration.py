@@ -1,9 +1,13 @@
+import copy
+import json
 import math
+import operator
 import os
+import pickle
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -524,6 +528,113 @@ class TestQualify:
         assert "beats_trend_line" in v.failures
         good = replace(fit, sse=0.1)
         assert qualify(good, FilterConfig()).qualified
+
+    # t_c beyond the horizon after too few oscillations
+    FAILING = LpplParams(t_c=200.0, m=0.5, omega=8.0, phi=0.0, A=5.0, B=-1.0, C=0.1)
+
+    def test_fits_judged_alike_share_one_verdict(self):
+        a = qualify(make_fit(self.FAILING), FilterConfig())
+        b = qualify(make_fit(replace(self.FAILING, t_c=190.0, m=0.7), t2=99.0), FilterConfig())
+        assert a.failures == ("tc_within_horizon", "enough_oscillations") and a.checks == b.checks
+        assert a.checks is b.checks and a.failures is b.failures
+        other = qualify(make_fit(replace(self.FAILING, omega=15.5)), FilterConfig())
+        assert other.failures == ("omega_in_range", "tc_within_horizon")  # 1.71 oscillations
+        assert other.checks is not a.checks and other.failures is not a.failures
+        # numpy parameters give numpy bools, which are kept: equal outcome, its own verdict
+        as_numpy = qualify(make_fit(replace(self.FAILING, m=np.float64(0.5))), FilterConfig())
+        assert type(as_numpy.checks["m_in_range"]) is np.bool_ and type(a.checks["m_in_range"]) is bool
+        assert as_numpy.checks == a.checks and as_numpy.checks is not a.checks
+        assert as_numpy.checks is qualify(make_fit(replace(self.FAILING, m=np.float64(0.6))), FilterConfig()).checks
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: c.__setitem__("m_in_range", False),
+            lambda c: c.__delitem__("m_in_range"),
+            lambda c: c.update(m_in_range=False),
+            lambda c: c.pop("m_in_range"),
+            lambda c: c.popitem(),
+            lambda c: c.setdefault("new", True),
+            lambda c: c.clear(),
+            lambda c: operator.ior(c, {"new": True}),  # c |= {"new": True}
+        ],
+        ids=["setitem", "delitem", "update", "pop", "popitem", "setdefault", "clear", "ior"],
+    )
+    def test_checks_refuse_every_change(self, change):
+        fit = qualify(make_fit(self.FAILING), FilterConfig())
+        before = dict(fit.checks)
+        with pytest.raises(TypeError):
+            change(fit.checks)
+        assert fit.checks == before and qualify(make_fit(self.FAILING), FilterConfig()).checks == before
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [
+            lambda f: pickle.loads(pickle.dumps(f)),
+            lambda f: pickle.loads(pickle.dumps(f, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy,
+            replace,
+        ],
+        ids=["pickle", "pickle-highest", "deepcopy", "replace"],
+    )
+    def test_copies_share_the_verdict(self, copy_of):
+        fit = qualify(make_fit(self.FAILING), FilterConfig())
+        copied = copy_of(fit)
+        assert copied == fit and type(copied.checks) is type(fit.checks)
+        assert copied.checks is fit.checks
+        # an unpickled fit gets a failures tuple per pickle stream; copies in memory keep the shared one
+        assert copied.failures == fit.failures
+        if copy_of in (copy.deepcopy, replace):
+            assert copied.failures is fit.failures
+
+    @pytest.mark.parametrize("m", [0.5, np.float64(0.5)], ids=["float", "numpy"])
+    def test_prints_and_serializes_as_a_plain_dict(self, m):
+        fit = qualify(replace(make_fit(replace(self.FAILING, m=m)), sse_line=1.0), FilterConfig())
+        plain = replace(fit, checks=dict(fit.checks))
+        assert isinstance(fit.checks, dict) and fit.checks == plain.checks
+        assert repr(fit) == repr(plain) and f"'m_in_range': {m < 0.99!r}" in repr(fit)
+        assert fit.to_dict() == plain.to_dict()
+        if type(m) is float:
+            assert json.dumps(fit.to_dict()) == json.dumps(plain.to_dict())
+        # a dict built from the checks, as asdict builds, is a plain dict again
+        assert type(asdict(fit)["checks"]) is dict and asdict(fit) == asdict(plain)
+        with pytest.raises(TypeError):
+            hash(fit)
+
+    def test_judged_fit_keeps_no_checks_of_its_own(self):
+        import tracemalloc
+
+        # 2,000 fits shaped like a stored replay ensemble: numpy parameters,
+        # daily windows of three lengths, trend lines 1-2.5 times the sse
+        rng = np.random.default_rng(7)
+        s = PriceSeries(np.arange(600.0), np.exp(np.linspace(4.6, 5.0, 600)))
+        fits = []
+        for i in range(2000):
+            length = (60.0, 120.0, 240.0)[i % 3]
+            window = slice_window(s, 599.0 - i % 300 - length, 599.0 - i % 300)
+            n = window.n_points
+            params = LpplParams(t_c=window.t2 + rng.uniform(0, 0.6) * length, m=rng.uniform(0, 1.05),
+                                omega=rng.uniform(1.5, 16.0), phi=rng.uniform(0, 2 * math.pi),
+                                A=4.6, B=-rng.uniform(0.01, 0.1), C=rng.uniform(0, 0.05))
+            sse = n * 1e-4 * rng.uniform(0.5, 1.5)
+            fits.append(FitResult(params=params, window=window, sse=sse, rmse=math.sqrt(sse / n), n_points=n,
+                                  qualified=False, sign=sign_of(params.B), sse_line=sse * rng.uniform(1.0, 2.5)))
+        filters = FilterConfig()
+        # judged once untraced, so the verdicts and the interpreter's free lists exist before the count
+        warm = [qualify(fit, filters) for fit in fits]
+        tracemalloc.start()
+        try:
+            judged = [qualify(fit, filters) for fit in fits]
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert judged == warm
+        # one checks object per outcome, a bool or numpy bool telling outcomes apart
+        outcomes = {tuple((v, type(v)) for v in f.checks.values()) for f in judged}
+        assert len({id(f.checks) for f in judged}) == len(outcomes) < 50
+        # a judged fit is a new FitResult and its list slot, about 120 B; a checks
+        # dict of its own would add 184 B and a failures tuple 40-80 B
+        assert kept / len(judged) < 200
 
 
 class TestClassifySign:

@@ -286,13 +286,20 @@ class TestScanGrid:
             "one = L.report(s, cfg)\n"
             "pooled = L.report(s, dataclasses.replace(cfg, n_jobs=2))\n"
             "print(one.n_fits, 'concurrent.futures.process' in sys.modules, one == pooled)\n"
+            "fits, pooled_fits = L.scan(s, cfg).fits, L.scan(s, dataclasses.replace(cfg, n_jobs=2)).fits\n"
+            # unpickled fits take this process's verdict of their outcome: one checks object per outcome
+            "outcomes = {tuple(f.checks.items()) for f in pooled_fits}\n"
+            "shared = len({id(f.checks) for f in pooled_fits}) == len(outcomes)\n"
+            "shared = shared and all(a.checks is b.checks for a, b in zip(fits, pooled_fits))\n"
+            "print(fits == pooled_fits, len(outcomes), shared)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             capture_output=True, text=True, check=True, timeout=120,
         )
-        n_fits, pool_started, equal = out.stdout.split()
+        n_fits, pool_started, equal, fits_equal, n_outcomes, shared = out.stdout.split()
         assert int(n_fits) > 2 and pool_started == "True" and equal == "True"
+        assert fits_equal == "True" and int(n_outcomes) >= 2 and shared == "True"
 
     def test_qualified_fraction_peaks_near_tc(self):
         s = bubble_series(seed=2)
