@@ -17,17 +17,19 @@ points are those of the all-exact screen. The Nelder-Mead is an in-house
 ask/tell simplex (`_simplex`), a bit-exact transcription of scipy's bounded
 one written out for the three coordinates, so numpy is the only run-time
 dependency; it stops at loose tolerances, and the polish (`_polish`) takes
-each end to the optimum in a few steps. _fit_windows fits windows with the
-same number of points together. Those that also have the same seed, t_c
-span and times back from their end, as the end dates of one window length
-on a regular grid do, share one screen: one basis and one X'X per batch of
-screen points, solved for all their log-prices at once (one factorization
-for many right-hand sides), and each window's leaders scored exactly. Every
-screen is scored in bounded batches. The descents of all the windows run in
+each end to the optimum in a few steps. _fit_windows calibrates in two
+phases. First, every window of the call (a pooled scan process's whole
+share) with the same seed, t_c span and times back from its end, as the end
+dates of one window length on a regular grid have, shares one screen: one
+basis and one X'X per batch of screen points, solved for all their
+log-prices at once (one factorization for many right-hand sides), and each
+window's leaders scored exactly. Every screen is scored in bounded batches.
+Then the descents of the windows with the same number of points run in
 lockstep, each step scoring every live descent's next point in one batched
-call of the least-squares kernel, with a row of log-prices per point; their
-ends are then polished in one batch, and the polish's solve at a window's
-best end is its fit.
+call of the least-squares kernel, with a row of log-prices per point; a
+bound of about _BATCH_ROWS basis rows per step splits them into parts, and
+limits that step's memory only. Their ends are then polished in one batch,
+and the polish's solve at a window's best end is its fit.
 That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
 nothing; every row of a batch is bit-identical to a one-row call, so a
 window's fit does not depend on the windows fitted with it.
@@ -62,7 +64,7 @@ _SCREEN_PER_START = 50
 _DESCENTS = 2
 _MAX_STARTS = 10_000  # keeps the screen of 50 * n_starts points allocatable
 _BATCH_ROWS = 4096  # basis rows (points x window length) per batched kernel call
-_SHARED_CELLS = 1 << 17  # pre-scores (points x windows) a shared screen holds at once
+_SHARED_CELLS = 1 << 17  # pre-scores (points x windows), and log-prices (windows x n), a shared screen holds at once
 # relative sse error the screen's float32-trig pre-score may have; its leaders
 # are re-scored exactly, and a larger error seen there falls back to the exact screen
 _PRESCORE_TOL = 1e-3
@@ -153,7 +155,7 @@ class FitResult:
             "qualified": self.qualified,
             "sign": self.sign,
             "filters": {
-                name: {"passed": passed, "failed": name in self.failures}
+                name: {"passed": bool(passed), "failed": name in self.failures}
                 for name, passed in self.checks.items()
             },
         }
@@ -337,22 +339,22 @@ def _screen_prescore(z, span, rev, y) -> np.ndarray:
 def _screen_best(z, span, rev, y, scale) -> np.ndarray:
     """Per row of y, the indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
 
-    The rows are windows with equal span and rev, so they share the screen's
-    basis. Two stages. The pre-score (_screen_prescore) ranks every point
-    for every window; each window's leaders, the points within a relative
-    _PRESCORE_TOL margin of its second-best pre-score, are scored again
-    exactly, all windows' in one batch, and their best two are the result.
-    If every pre-score lies within _PRESCORE_TOL of its exact sse, the exact
-    best two are among the leaders, so the result is that of the exact
-    screen. A window whose pre-scores are not all finite, or whose leaders'
-    exact sse is not finite or differs from its pre-score by more than
-    _PRESCORE_TOL, has its own screen scored exactly instead. The windows
-    are taken in blocks that hold at most about _SHARED_CELLS pre-scores.
+    The rows, an array or a list, are windows with equal span and rev, so they
+    share the screen's basis. Two stages. The pre-score (_screen_prescore) ranks
+    every point for every window; each window's leaders, the points within a
+    relative _PRESCORE_TOL margin of its second-best pre-score, are scored again
+    exactly, all windows' in one batch, and their best two are the result. If
+    every pre-score lies within _PRESCORE_TOL of its exact sse, the exact best
+    two are among the leaders, so the result is that of the exact screen. A
+    window whose pre-scores are not all finite, or whose leaders' exact sse is
+    not finite or differs from its pre-score by more than _PRESCORE_TOL, has its
+    own screen scored exactly instead. The windows are taken in blocks of at
+    most about _SHARED_CELLS pre-scores and as many log-prices.
     """
-    width = max(1, _SHARED_CELLS // len(z))
+    width = max(1, _SHARED_CELLS // max(len(z), y[0].shape[-1]))
     best = np.empty((len(y), _DESCENTS), dtype=np.intp)
     for c in range(0, len(y), width):
-        block, block_scale = y[c:c + width], scale[c:c + width]
+        block, block_scale = np.stack(y[c:c + width]), scale[c:c + width]
         pre = _screen_prescore(z, span, rev, block)
         second = np.partition(pre, _DESCENTS - 1, axis=0)[_DESCENTS - 1]
         # every window's leaders, window by window, each window's in index order
@@ -593,63 +595,57 @@ def fit_window(
 def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
     """fit_window of every window with its seed; a failed window's FitError stands in its place.
 
-    Windows with the same number of points are fitted together: their
-    descents run in lockstep, and each step scores every live descent's next
-    point in one kernel call; those that also share their seed and time grid
-    share their screen. Every result is bit-identical to fit_window on its
-    own window.
+    Two phases. The windows with the same seed, t_c span and times back from
+    their end (so the same n_points) share one screen, which _screen_best
+    scores: each window's two starts are those of its own all-exact screen.
+    Then the windows with the same n_points run their descents in lockstep
+    (_fit_group), in parts whose step scores at most about _BATCH_ROWS basis
+    rows. Every result is bit-identical to fit_window on its own window.
     """
+    # normalized coordinates: z = (u, m, omega), t_c = t2 + u * span
+    lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
+    hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
+    span = np.array([[filters.tc_horizon * w.length] for w in windows])
+    y = [w.log_prices(series) for w in windows]
+    # scale-invariant normalization so fatol means relative sse
+    scale = np.array([v * len(row) if (v := float(np.var(row))) > 0 else 1.0 for row in y])
+
+    # one screen per seed, span and rev, the time back from the window end (invariant under shifting all
+    # timestamps, so the search path is translation-exact); each window's rev is read back from its key's bytes
+    shared: dict[tuple, list[int]] = {}
+    for i, (w, seed) in enumerate(zip(windows, seeds)):
+        shared.setdefault((int(seed), float(span[i, 0]), (w.t2 - w.times(series)).tobytes()), []).append(i)
+    rev: dict[int, np.ndarray] = {}
+    best = np.empty((len(windows), _DESCENTS), dtype=np.intp)
+    first = np.empty((len(windows), _DESCENTS, 3))
+    for (seed, _, grid), ws in shared.items():
+        rev.update(dict.fromkeys(ws, np.frombuffer(grid)))
+        screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, seed) * (hi - lo)
+        best[ws] = _screen_best(screen, span[ws[0]], rev[ws[0]], [y[i] for i in ws], scale[ws])
+        first[ws] = screen[best[ws]]
+
     groups: dict[int, list[int]] = {}
     for i, window in enumerate(windows):
         groups.setdefault(window.n_points, []).append(i)
     fits = [None] * len(windows)
     for n, idx in groups.items():
-        # a group's descent step scores at most about _BATCH_ROWS basis rows
         size = max(1, _BATCH_ROWS // (_DESCENTS * n))
         for part in (idx[i:i + size] for i in range(0, len(idx), size)):
-            group = _fit_group(series, [windows[i] for i in part], config, filters, [seeds[i] for i in part])
+            stacked = (np.stack([a[i] for i in part]) for a in (rev, y))
+            group = _fit_group(series, [windows[i] for i in part], config, filters, lo, hi,
+                               span[part], *stacked, scale[part], best[part], first[part])
             for i, fit in zip(part, group):
                 fits[i] = fit
     return fits
 
 
-def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
-    """Calibration of windows with equal n_points: their screens, then all descents in lockstep.
+def _fit_group(series, windows, config, filters, lo, hi, span, rev, y, scale, best, first) -> list:
+    """Calibration of W windows with equal n_points from their screens' starts: descents in lockstep, then polish.
 
-    Windows with the same seed, span and rev bytes share one screen, which
-    _screen_best scores: a float32-trig pre-score of every point for all of
-    them, then an exact score of each window's leaders, or of every point
-    for a window whose guard trips; either way each window's two starts are
-    those of its own all-exact screen.
+    span (W, 1), rev and y (W, n) and scale (W,) are the windows' stacked
+    arrays; best (W, 2) holds each window's two screen indices and first
+    (W, 2, 3) those screen points. Returns a FitResult or FitError per window.
     """
-    tt = np.stack([w.times(series) for w in windows])
-    y = np.stack([w.log_prices(series) for w in windows])
-    n = tt.shape[1]
-
-    # normalized coordinates: z = (u, m, omega), t_c = t2 + u * span
-    lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
-    hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
-    span = np.array([[filters.tc_horizon * w.length] for w in windows])
-
-    # scale-invariant normalization so fatol means relative sse
-    scale = np.array([v * n if v > 0 else 1.0 for v in (float(np.var(row)) for row in y)])
-
-    # time measured backwards from the window end: invariant under shifting
-    # all timestamps, which makes the whole search path translation-exact
-    rev = np.stack([w.t2 - row for w, row in zip(windows, tt)])
-
-    # one screen for the windows with the same seed, span and times back from
-    # their end, which share its points and basis; only each window's two best points stay
-    shared: dict[tuple, list[int]] = {}
-    for w, seed in enumerate(seeds):
-        shared.setdefault((int(seed), float(span[w, 0]), rev[w].tobytes()), []).append(w)
-    best = np.empty((len(windows), _DESCENTS), dtype=np.intp)
-    first = np.empty((len(windows), _DESCENTS, 3))
-    for (seed, _, _), ws in shared.items():
-        screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, seed) * (hi - lo)
-        best[ws] = _screen_best(screen, span[ws[0]], rev[ws[0]], y[ws], scale[ws])
-        first[ws] = screen[best[ws]]
-    starts = best.ravel().tolist()
     descents = [_simplex(z, lo, hi, config.max_iter) for z in first.reshape(-1, 3)]
     owner = np.repeat(np.arange(len(windows)), _DESCENTS)  # descent i belongs to window owner[i]
 
@@ -681,6 +677,7 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     # each window's least-squares trend line, on the basis [1, x] with x = (t - t_first) / (t_last - t_first):
     # x spans [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones)
     with np.errstate(all="ignore"):
+        tt = np.stack([w.times(series) for w in windows])
         x = (tt - tt[:, :1]) / (tt[:, -1:] - tt[:, :1])
         line = np.stack([np.ones_like(x), x], axis=-1)
         line_t = line.swapaxes(-1, -2)
@@ -690,7 +687,7 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
     for w, window in enumerate(windows):
         own = slice(_DESCENTS * w, _DESCENTS * (w + 1))
         if not done[own].any():
-            diagnostics = [{"start": i, "sse": end[1], "converged": end[2]} for i, end in zip(starts[own], ends[own])]
+            diagnostics = [{"start": i, "sse": end[1], "converged": end[2]} for i, end in zip(best[w].tolist(), ends[own])]
             message = f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]"
             fits.append(FitError(message, diagnostics))
             continue
@@ -703,8 +700,8 @@ def _fit_group(series, windows, config, filters, seeds) -> list[FitResult | FitE
             params=params,
             window=window,
             sse=float(sse[k]),
-            rmse=math.sqrt(sse[k] / n),
-            n_points=n,
+            rmse=math.sqrt(sse[k] / window.n_points),
+            n_points=window.n_points,
             qualified=False,
             sign=sign_of(B),
             sse_line=float(sse_line[w]),

@@ -152,8 +152,9 @@ class AlarmReport:
         return rows
 
 
-def _task_seed(base_seed: int, wi: int, di: int) -> int:
-    return int(np.random.SeedSequence([base_seed, wi, di]).generate_state(1)[0])
+def _task_seed(base_seed: int, wi: int) -> int:
+    """The seed of the wi-th window length, from the entropy [base_seed, wi, 0]; the 0 keeps earlier versions' seeds."""
+    return int(np.random.SeedSequence([base_seed, wi, 0]).generate_state(1)[0])
 
 
 def _fit_pooled(series: PriceSeries, windows, seeds, config: ScanConfig) -> list[FitResult]:
@@ -208,7 +209,7 @@ def scan(series: PriceSeries, config: ScanConfig = ScanConfig()) -> ScanResult:
     end_dates = tuple(series.times[(len(series) - 1) % config.end_every :: config.end_every].tolist())
 
     # one seed per window length, so the windows of a length share their screen points
-    length_seeds = [_task_seed(config.seed, wi, 0) for wi in range(len(config.window_lengths))]
+    length_seeds = [_task_seed(config.seed, wi) for wi in range(len(config.window_lengths))]
     windows, seeds = [], []
     for t2 in end_dates:
         for wi, length in enumerate(config.window_lengths):

@@ -594,8 +594,8 @@ class TestQualify:
         assert isinstance(fit.checks, dict) and fit.checks == plain.checks
         assert repr(fit) == repr(plain) and f"'m_in_range': {m < 0.99!r}" in repr(fit)
         assert fit.to_dict() == plain.to_dict()
-        if type(m) is float:
-            assert json.dumps(fit.to_dict()) == json.dumps(plain.to_dict())
+        # numpy parameters give numpy bools, which to_dict writes as JSON booleans
+        assert json.dumps(fit.to_dict()) == json.dumps(plain.to_dict())
         # a dict built from the checks, as asdict builds, is a plain dict again
         assert type(asdict(fit)["checks"]) is dict and asdict(fit) == asdict(plain)
         with pytest.raises(TypeError):
@@ -1001,6 +1001,31 @@ class TestSharedScreen:
         assert [repr(f) for f in grouped] == [
             repr(fit_window(s, w, FAST, seed=seed)) for w, seed in zip(windows, seeds)
         ]
+
+    def test_one_screen_for_a_grid_split_into_lockstep_parts(self, monkeypatch):
+        # 8 end dates of a 699-day window: n = 700, so a lockstep part holds 4096 // 1400 = 2 windows,
+        # and the 8 windows still share one screen
+        s = lppl_series(noise=0.01, seed=4, n=800, params=replace(TRUE, t_c=840.0))
+        windows = [slice_window(s, t2 - 699.0, t2) for t2 in s.times[-1:-72:-9]]
+        search = SearchConfig(n_starts=2, max_iter=40)
+        assert len(windows) == 8 and {w.n_points for w in windows} == {700}
+        assert calibration._BATCH_ROWS // (2 * 700) == 2
+        calls = self.spy_shares(monkeypatch)
+        grouped = _fit_windows(s, windows, search, FilterConfig(), [5] * len(windows))
+        assert len(calls) == 1 and np.array_equal(calls[0][2], [w.log_prices(s) for w in windows])
+        monkeypatch.undo()
+        assert [repr(f) for f in grouped] == [repr(fit_window(s, w, search, seed=5)) for w in windows]
+
+    def test_screen_blocks_bound_their_log_prices(self, monkeypatch):
+        # with a screen of 50 points, a block's log-prices (windows x n), not its pre-scores, reach the bound first
+        s, windows, seeds = self.grid("daily")
+        search = SearchConfig(n_starts=1, max_iter=20)
+        expected = [repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)]
+        monkeypatch.setattr(calibration, "_SHARED_CELLS", 1000)
+        calls = self.spy_shares(monkeypatch)
+        grouped = [repr(f) for f in _fit_windows(s, windows, search, FilterConfig(), seeds)]
+        assert max(len(y) for *_, y in calls) > 1 and max(y.size for *_, y in calls) <= 1000
+        assert grouped == expected
 
     def test_prescore_off_in_one_window_falls_back_alone(self, monkeypatch):
         s, windows, seeds = self.grid("daily")

@@ -81,15 +81,20 @@ class TestWindowLadder:
 class TestScanGrid:
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_windows_of_one_length_share_its_seed(self, n_jobs):
-        # every window of length index wi is fitted with the seed _task_seed(seed, wi, 0), so a scan
+        # every window of length index wi is fitted with the seed _task_seed(seed, wi), so a scan
         # of one end date fits as before and the end dates of a length share their screen points
         s = bubble_series(seed=5)
         cfg = ScanConfig(window_lengths=(60.0, 90.0), end_every=20, search=FAST, seed=3, n_jobs=n_jobs)
         fits = scan(s, cfg).fits
         assert len({f.window.t2 for f in fits}) > 1
         for fit in fits:
-            seed = scanner._task_seed(3, cfg.window_lengths.index(fit.window.length), 0)
+            seed = scanner._task_seed(3, cfg.window_lengths.index(fit.window.length))
             assert repr(fit) == repr(scanner.fit_window(s, fit.window, FAST, seed=seed))
+
+    def test_length_seed_keeps_its_entropy(self):
+        # the entropy [seed, wi, 0] that scans have always seeded with, so seeded fits keep their bytes
+        for seed, wi in ((0, 0), (3, 1), (7, 9)):
+            assert scanner._task_seed(seed, wi) == int(np.random.SeedSequence([seed, wi, 0]).generate_state(1)[0])
 
     def test_degenerate_grid_single_fit(self):
         s = bubble_series()
