@@ -19,20 +19,18 @@ one written out for the three coordinates, so numpy is the only run-time
 dependency; it stops at loose tolerances, and the polish (`_polish`) takes
 each end to the optimum in a few steps. _fit_windows calibrates in two
 phases. First, every window of the call (a pooled scan process's whole
-share) with the same seed, t_c span and times back from its end, as the end
-dates of one window length on a regular grid have, shares one screen: one
-basis and one X'X per batch of screen points, solved for all their
-log-prices at once (one factorization for many right-hand sides), and each
-window's leaders scored exactly. Every screen is scored in bounded batches.
-Then the descents of the windows with the same number of points run in
-lockstep, each step scoring every live descent's next point in one batched
-call of the least-squares kernel, with a row of log-prices per point; a
-bound of about _BATCH_ROWS basis rows per step splits them into parts, and
-limits that step's memory only. Their ends are then polished in one batch,
-and the polish's solve at a window's best end is its fit.
-That kernel, _linear_fit, re-solves only a singular row by lstsq and warns of
-nothing; every row of a batch is bit-identical to a one-row call, so a
-window's fit does not depend on the windows fitted with it.
+share) with the same seed, times back from its end and t_c span to 12
+significant digits, as the end dates of one window length on a regular grid
+have, shares one screen: one basis and one X'X per batch of screen points,
+solved for all their log-prices at once (one factorization for many
+right-hand sides). Then the windows with the same number of points are
+fitted in lockstep parts of at most about _BATCH_ROWS basis rows per step,
+each part's rows gathered once into a _Batch and taken through four phases:
+_descend (one kernel call per step scores every live descent's next point),
+_polish, _trend_lines and _assemble (a window's fit is the polish's solve at
+its best end). That kernel, _linear_fit, re-solves only a singular row by
+lstsq and warns of nothing; every row of a batch is bit-identical to a
+one-row call, so a window's fit does not depend on the windows fitted with it.
 The outer search runs in normalized coordinates (t_c mapped to a unit interval
 anchored at the window end), which makes results exactly invariant under
 price scaling and time translation.
@@ -300,16 +298,16 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return z, sse, kept
 
 
-def _screen_sse(z, span, rev, y) -> np.ndarray:
-    """Exact sse of screen points z = (u, m, omega) on y, one window's (n,) log-prices or a (P, n) row per point.
+def _screen_sse(z, span, rev, y, owner) -> np.ndarray:
+    """Exact sse of screen points z = (u, m, omega), point i on window owner[i] of the spans (W, 1) and log-prices y (W, n).
 
-    Scored in batches of about _BATCH_ROWS basis rows; every sse is that of a one-row _linear_fit call.
+    Scored in batches of about _BATCH_ROWS basis rows, each gathering its own points' rows of span and y; every
+    sse is that of a one-row _linear_fit call.
     """
     rows = max(1, _BATCH_ROWS // y.shape[-1])
     return np.concatenate([np.empty(0)] + [
-        _linear_fit(z[i:i + rows, :1] * span + rev, y if y.ndim == 1 else y[i:i + rows],
-                    z[i:i + rows, 1:2], z[i:i + rows, 2:3])[1]
-        for i in range(0, len(z), rows)
+        _linear_fit(z[i:i + rows, :1] * span[own] + rev, y[own], z[i:i + rows, 1:2], z[i:i + rows, 2:3])[1]
+        for i in range(0, len(z), rows) for own in [owner[i:i + rows]]
     ])
 
 
@@ -339,35 +337,36 @@ def _screen_prescore(z, span, rev, y) -> np.ndarray:
 def _screen_best(z, span, rev, y, scale) -> np.ndarray:
     """Per row of y, the indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
 
-    The rows, an array or a list, are windows with equal span and rev, so they
-    share the screen's basis. Two stages. The pre-score (_screen_prescore) ranks
-    every point for every window; each window's leaders, the points within a
-    relative _PRESCORE_TOL margin of its second-best pre-score, are scored again
-    exactly, all windows' in one batch, and their best two are the result. If
-    every pre-score lies within _PRESCORE_TOL of its exact sse, the exact best
-    two are among the leaders, so the result is that of the exact screen. A
-    window whose pre-scores are not all finite, or whose leaders' exact sse is
-    not finite or differs from its pre-score by more than _PRESCORE_TOL, has its
-    own screen scored exactly instead. The windows are taken in blocks of at
-    most about _SHARED_CELLS pre-scores and as many log-prices.
+    The rows, a list, are windows with equal rev and spans (W, 1) equal to 12
+    significant digits, so they share the screen's basis: the pre-score is
+    taken at the first span, every exact sse at the window's own. Two stages.
+    The pre-score (_screen_prescore) ranks every point for every window; each
+    window's leaders, the points within a relative _PRESCORE_TOL margin of its
+    second-best pre-score, are scored again exactly, all windows' in one batch,
+    and their best two are the result. If every pre-score lies within
+    _PRESCORE_TOL of its exact sse, the exact best two are among the leaders,
+    so the result is that of the exact screen. A window whose pre-scores are
+    not all finite, or whose leaders' exact sse is not finite or differs from
+    its pre-score by more than _PRESCORE_TOL, has its own screen scored
+    exactly instead. The windows are taken in blocks of at most about
+    _SHARED_CELLS pre-scores and as many log-prices.
     """
     width = max(1, _SHARED_CELLS // max(len(z), y[0].shape[-1]))
     best = np.empty((len(y), _DESCENTS), dtype=np.intp)
     for c in range(0, len(y), width):
-        block, block_scale = np.stack(y[c:c + width]), scale[c:c + width]
-        pre = _screen_prescore(z, span, rev, block)
+        block, block_span, block_scale = np.stack(y[c:c + width]), span[c:c + width], scale[c:c + width]
+        pre = _screen_prescore(z, span[0], rev, block)
         second = np.partition(pre, _DESCENTS - 1, axis=0)[_DESCENTS - 1]
         # every window's leaders, window by window, each window's in index order
         owner, lead = np.nonzero((pre <= second * (1 + _PRESCORE_TOL) / (1 - _PRESCORE_TOL)).T)
-        exact = _screen_sse(z[lead], span, rev, block[owner])
+        exact = _screen_sse(z[lead], block_span, rev, block, owner)
         held = np.isfinite(exact) & (np.abs(exact - pre[lead, owner]) <= _PRESCORE_TOL * exact)
-        stops = np.cumsum(np.bincount(owner, minlength=len(block)))
         for w, col in enumerate(pre.T):
-            own = slice(stops[w - 1] if w else 0, stops[w])
+            own = owner == w
             if np.isfinite(col).all() and held[own].all():
                 points, sse = lead[own], exact[own]
             else:  # the guard tripped: this window's whole screen, scored exactly
-                points, sse = np.arange(len(z)), _screen_sse(z, span, rev, block[w])
+                points, sse = np.arange(len(z)), _screen_sse(z, block_span, rev, block, np.full(len(z), w))
             best[c + w] = points[np.argsort(sse / block_scale[w], kind="stable")[:_DESCENTS]]
     return best
 
@@ -595,12 +594,10 @@ def fit_window(
 def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | FitError]:
     """fit_window of every window with its seed; a failed window's FitError stands in its place.
 
-    Two phases. The windows with the same seed, t_c span and times back from
-    their end (so the same n_points) share one screen, which _screen_best
-    scores: each window's two starts are those of its own all-exact screen.
-    Then the windows with the same n_points run their descents in lockstep
-    (_fit_group), in parts whose step scores at most about _BATCH_ROWS basis
-    rows. Every result is bit-identical to fit_window on its own window.
+    The shared screens (_screen_best), then each lockstep part's four phases,
+    as the module docstring describes. Each window's two starts are those of
+    its own all-exact screen, and every result is bit-identical to fit_window
+    on its own window.
     """
     # normalized coordinates: z = (u, m, omega), t_c = t2 + u * span
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
@@ -610,83 +607,99 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
     # scale-invariant normalization so fatol means relative sse
     scale = np.array([v * len(row) if (v := float(np.var(row))) > 0 else 1.0 for row in y])
 
-    # one screen per seed, span and rev, the time back from the window end (invariant under shifting all
-    # timestamps, so the search path is translation-exact); each window's rev is read back from its key's bytes
+    # one screen per seed, rev, the time back from the window end (invariant under shifting all timestamps, so
+    # the search path is translation-exact), and span to 12 digits: t2 - (t2 - L) may differ from L in its last bit
     shared: dict[tuple, list[int]] = {}
     for i, (w, seed) in enumerate(zip(windows, seeds)):
-        shared.setdefault((int(seed), float(span[i, 0]), (w.t2 - w.times(series)).tobytes()), []).append(i)
-    rev: dict[int, np.ndarray] = {}
+        shared.setdefault((int(seed), f"{span[i, 0]:.12g}", (w.t2 - w.times(series)).tobytes()), []).append(i)
     best = np.empty((len(windows), _DESCENTS), dtype=np.intp)
     first = np.empty((len(windows), _DESCENTS, 3))
+    groups: dict[int, list[int]] = {}  # the windows of each n_points, which descend in lockstep
     for (seed, _, grid), ws in shared.items():
-        rev.update(dict.fromkeys(ws, np.frombuffer(grid)))
         screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, seed) * (hi - lo)
-        best[ws] = _screen_best(screen, span[ws[0]], rev[ws[0]], [y[i] for i in ws], scale[ws])
+        best[ws] = _screen_best(screen, span[ws], np.frombuffer(grid), [y[i] for i in ws], scale[ws])
         first[ws] = screen[best[ws]]
+        groups.setdefault(windows[ws[0]].n_points, []).extend(ws)
 
-    groups: dict[int, list[int]] = {}
-    for i, window in enumerate(windows):
-        groups.setdefault(window.n_points, []).append(i)
     fits = [None] * len(windows)
     for n, idx in groups.items():
         size = max(1, _BATCH_ROWS // (_DESCENTS * n))
         for part in (idx[i:i + size] for i in range(0, len(idx), size)):
-            stacked = (np.stack([a[i] for i in part]) for a in (rev, y))
-            group = _fit_group(series, [windows[i] for i in part], config, filters, lo, hi,
-                               span[part], *stacked, scale[part], best[part], first[part])
-            for i, fit in zip(part, group):
+            ws = [windows[i] for i in part]
+            times = np.stack([w.times(series) for w in ws])
+            batch = _Batch(span[part], scale[part], times, np.array([[w.t2] for w in ws]) - times,
+                           np.stack([y[i] for i in part]))
+            ends = _descend(batch, first[part], lo, hi, config.max_iter)
+            # every descent end, Gauss-Newton polished in one batch; the polish's
+            # solve at its point is that descent's fit, and a failed end keeps sse inf
+            own = np.repeat(np.arange(len(part)), _DESCENTS)
+            polished = _polish(np.array([end[0] for end in ends]), batch.span[own], batch.rev[own], batch.y[own], lo, hi)
+            for i, fit in zip(part, _assemble(ws, batch, best[part], ends, polished, _trend_lines(batch), filters)):
                 fits[i] = fit
     return fits
 
 
-def _fit_group(series, windows, config, filters, lo, hi, span, rev, y, scale, best, first) -> list:
-    """Calibration of W windows with equal n_points from their screens' starts: descents in lockstep, then polish.
+@dataclass(frozen=True, slots=True)
+class _Batch:
+    """The rows of W windows with equal n_points: t_c span (W, 1), sse scale (W,), and times, rev and y (W, n)."""
 
-    span (W, 1), rev and y (W, n) and scale (W,) are the windows' stacked
-    arrays; best (W, 2) holds each window's two screen indices and first
-    (W, 2, 3) those screen points. Returns a FitResult or FitError per window.
+    span: np.ndarray
+    scale: np.ndarray
+    times: np.ndarray
+    rev: np.ndarray  # times back from the window end, t2 - times
+    y: np.ndarray  # log-prices
+
+
+def _descend(batch, first, lo, hi, max_iter) -> list:
+    """The ends (x, f, converged, iterations) of the simplex descents from first (W, _DESCENTS, 3), window by window.
+
+    They run in lockstep: one kernel call per step scores each live descent's next point, on its window's row.
     """
-    descents = [_simplex(z, lo, hi, config.max_iter) for z in first.reshape(-1, 3)]
-    owner = np.repeat(np.arange(len(windows)), _DESCENTS)  # descent i belongs to window owner[i]
-
-    # every descent in lockstep: one kernel call scores each live descent's
-    # next point, on its own window's times and log-prices
+    descents = [_simplex(z, lo, hi, max_iter) for z in first.reshape(-1, 3)]
     points = [next(d) for d in descents]
     ends = [None] * len(descents)
     live = list(range(len(descents)))
     while live:
         # the live descents' window rows, gathered again only when a descent ends
-        own = owner[live]
-        span_l, rev_l, y_l, scale_l = span[own], rev[own], y[own], scale[own]
-        while all(ends[i] is None for i in live):
+        own = np.array(live) // _DESCENTS
+        span, rev, y, scale = batch.span[own], batch.rev[own], batch.y[own], batch.scale[own]
+        ended = False
+        while not ended:
             z = np.array([points[i] for i in live])
-            sse = _linear_fit(z[:, :1] * span_l + rev_l, y_l, z[:, 1:2], z[:, 2:3])[1]
-            for i, f in zip(live, (sse / scale_l).tolist()):
+            sse = _linear_fit(z[:, :1] * span + rev, y, z[:, 1:2], z[:, 2:3])[1]
+            for i, f in zip(live, (sse / scale).tolist()):
                 try:
                     points[i] = descents[i].send(f)
                 except StopIteration as stop:
-                    ends[i] = stop.value
+                    ends[i], ended = stop.value, True
         live = [i for i in live if ends[i] is None]
+    return ends
 
-    # every descent end, Gauss-Newton polished in one batch; the polish's
-    # solve at its point is that descent's fit, and a failed end keeps sse inf
-    z, sse, beta = _polish(np.array([end[0] for end in ends]), span[owner], rev[owner], y[owner], lo, hi)
-    f = sse / scale[owner]
-    done = np.isfinite(f)
 
-    # each window's least-squares trend line, on the basis [1, x] with x = (t - t_first) / (t_last - t_first):
-    # x spans [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones)
+def _trend_lines(batch) -> np.ndarray:
+    """Each window's least-squares trend line sse, on the basis [1, x] with x = (t - t_first) / (t_last - t_first).
+
+    x spans [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones).
+    """
     with np.errstate(all="ignore"):
-        tt = np.stack([w.times(series) for w in windows])
+        tt = batch.times
         x = (tt - tt[:, :1]) / (tt[:, -1:] - tt[:, :1])
         line = np.stack([np.ones_like(x), x], axis=-1)
         line_t = line.swapaxes(-1, -2)
-        sse_line = _residuals(line, y, _solve(line_t @ line, line_t @ y[..., None])[..., 0])[1]
+        return _residuals(line, batch.y, _solve(line_t @ line, line_t @ batch.y[..., None])[..., 0])[1]
 
+
+def _assemble(windows, batch, best, ends, polished, sse_line, filters) -> list:
+    """Per window, its qualified fit at its polished descent end of least scaled sse, or a FitError if none is finite.
+
+    ends, polished (_polish's z, sse and beta) and best, the screen indices (W, _DESCENTS), follow _descend's order.
+    """
+    z, sse, beta = polished
+    f = sse / np.repeat(batch.scale, _DESCENTS)
     fits = []
     for w, window in enumerate(windows):
         own = slice(_DESCENTS * w, _DESCENTS * (w + 1))
-        if not done[own].any():
+        if not np.isfinite(f[own]).any():
             diagnostics = [{"start": i, "sse": end[1], "converged": end[2]} for i, end in zip(best[w].tolist(), ends[own])]
             message = f"every descent failed to produce a finite fit on [{window.t1}, {window.t2}]"
             fits.append(FitError(message, diagnostics))
@@ -695,7 +708,7 @@ def _fit_group(series, windows, config, filters, lo, hi, span, rev, y, scale, be
         k = own.start + int(np.argmin(f[own]))
         u, m, omega = z[k].tolist()
         A, B, c1, c2 = beta[k].tolist()
-        params = LpplParams.from_linear(window.t2 + u * float(span[w, 0]), m, omega, A, B, c1, c2)
+        params = LpplParams.from_linear(window.t2 + u * float(batch.span[w, 0]), m, omega, A, B, c1, c2)
         fit = FitResult(
             params=params,
             window=window,

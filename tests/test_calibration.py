@@ -32,6 +32,7 @@ from lpplscan.calibration import (
 )
 from lpplscan.errors import DomainError, FitError, WindowError
 from lpplscan.model import LpplParams, lppl_basis, lppl_log_price
+from lpplscan.scanner import default_window_ladder
 from lpplscan.synth import SynthSpec, generate
 from lpplscan.timeseries import FitWindow, PriceSeries, slice_window
 
@@ -851,18 +852,18 @@ class TestTwoStageScreen:
                 w["prescore_starts"] = np.argsort(col, kind="stable")[:2].tolist()
             return pre
 
-        def spy_sse(z, span, rev, y):
-            rows = [owner(row) for row in np.broadcast_to(y, (len(z), y.shape[-1]))]
+        def spy_sse(z, span, rev, y, at):
+            rows = [owner(y[i]) for i in at]
             for w in {id(w): w for w in rows}.values():
                 w["calls"].append((False, sum(r is w for r in rows)))
-            return screen_sse(z, span, rev, y)
+            return screen_sse(z, span, rev, y, at)
 
         def spy_best(z, span, rev, y, scale):
             share[:] = [{"calls": [], "points": len(z), "y": row, "share_size": len(y)} for row in y]
             windows.extend(share)
             best = screen_best(z, span, rev, y, scale)
-            for w, starts, row, row_scale in zip(share, best, y, scale):
-                w["starts"] = (starts.tolist(), TestTwoStageScreen.exact_starts(z, span, rev, row, row_scale).tolist())
+            for w, starts, row, row_span, row_scale in zip(share, best, y, span, scale):
+                w["starts"] = (starts.tolist(), TestTwoStageScreen.exact_starts(z, row_span, rev, row, row_scale).tolist())
             return best
 
         monkeypatch.setattr(calibration, "_screen_prescore", spy_prescore)
@@ -1034,10 +1035,10 @@ class TestSharedScreen:
         self.spy_shares(monkeypatch, off)
         screen_sse, full = calibration._screen_sse, []
 
-        def spy_sse(z, span, rev, y):
-            if y.ndim == 1:  # only a fallback scores one window's whole screen
-                full.append(y)
-            return screen_sse(z, span, rev, y)
+        def spy_sse(z, span, rev, y, at):
+            if (at == at[0]).all():  # only a fallback scores one window's whole screen
+                full.append(y[at[0]])
+            return screen_sse(z, span, rev, y, at)
 
         monkeypatch.setattr(calibration, "_screen_sse", spy_sse)
         assert [repr(f) for f in _fit_windows(s, windows, FAST, FilterConfig(), seeds)] == expected
@@ -1056,6 +1057,47 @@ class TestSharedScreen:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_exact_stage_holds_no_copy_per_leader(self):
+        import tracemalloc
+
+        # log-prices of pure noise, where about 7 of the 50 screen points lie within the pre-score's margin
+        # of a window's second best; 160 windows of 401 points form one block of 0.51 MB, and a stack of
+        # one log-price row per leader would hold about 4 MB more
+        s = PriceSeries(np.arange(560.0), np.exp(0.01 * np.random.default_rng(2).normal(size=560)))
+        windows = [slice_window(s, t2 - 400.0, t2) for t2 in s.times[-1:399:-1]]
+        assert len(windows) == 160 and {w.n_points for w in windows} == {401}
+        tracemalloc.start()
+        try:
+            _fit_windows(s, windows, SearchConfig(n_starts=1, max_iter=10), FilterConfig(), [1] * len(windows))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+    def test_one_screen_per_length_of_the_default_ladder(self, monkeypatch):
+        # every 50th end date of a 1000-day series: t2 - (t2 - L) differs from L in its last bit at some
+        # end dates for 5 of the 10 lengths, and each length's windows still share one screen
+        s = lppl_series(noise=0.01, seed=4, n=1000, params=replace(TRUE, t_c=1040.0))
+        windows, seeds = [], []
+        for t2 in s.times[49::50]:
+            for i, length in enumerate(default_window_ladder()):
+                if t2 - length >= s.t_start:
+                    windows.append(slice_window(s, t2 - length, t2))
+                    seeds.append(i)
+        assert len(windows) == 154 and len({(w.length, w.n_points) for w in windows}) == 15
+        search = SearchConfig(n_starts=1, max_iter=20)
+        screen_best, shares = calibration._screen_best, []
+
+        def spy(z, span, rev, y, scale):
+            shares.append(len(y))
+            return screen_best(z, span, rev, y, scale)
+
+        monkeypatch.setattr(calibration, "_screen_best", spy)
+        grouped = _fit_windows(s, windows, search, FilterConfig(), seeds)
+        assert len(shares) == 10 and sum(shares) == len(windows)
+        monkeypatch.undo()
+        assert [repr(f) for f in grouped] == [repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)]
 
 
 class TestNestingOptimality:
