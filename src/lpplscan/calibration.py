@@ -5,7 +5,16 @@ and three nonlinear ones (t_c, m, omega). The linear block is solved by least
 squares inside the objective, so the outer search runs over (t_c, m, omega)
 only: a Latin-hypercube screen, then Nelder-Mead from its two best points,
 then a variable-projection Gauss-Newton polish of each descent's end (Golub
-& Pereyra 1973, with Kaufman's 1975 Jacobian). The screen is scored in two
+& Pereyra 1973, with Kaufman's 1975 Jacobian). Every stage solves in
+unit-free time. With s = tc_horizon * length, the window's t_c span, its
+search coordinate is u = (t_c - t2) / s and its basis is taken at
+d = (t_c - t) / s = u + r, where r = (t2 - t) / s is built once per window.
+So d lies in [u, u + 1 / tc_horizon] whatever the time unit, and a fit is
+the same in days, seconds or steps of 1e-300. The basis's power column is
+expm1(m ln d) (model._basis), so its coefficients are [A + B, B, C1, C2] of
+the curve in d. Only _assemble converts back, once per fit: t_c = t2 + u s,
+A = beta0 - beta1, B and C scale by s^-m and phi shifts by omega ln s.
+The screen is scored in two
 stages (_screen_best), a cheap low-precision pass and an exact check (Higham
 & Mary, "Mixed precision algorithms in numerical linear algebra", 2022): a
 pre-score, the least-squares sse on a basis with float32 cos and sin, ranks
@@ -17,23 +26,27 @@ points are those of the all-exact screen. The Nelder-Mead is an in-house
 ask/tell simplex (`_simplex`), a bit-exact transcription of scipy's bounded
 one written out for the three coordinates, so numpy is the only run-time
 dependency; it stops at loose tolerances, and the polish (`_polish`) takes
-each end to the optimum in a few steps. _fit_windows calibrates in two
+each end to the optimum in a few steps, halving a refused step a few times
+before it gives up. _fit_windows calibrates in two
 phases. First, every window of the call (a pooled scan process's whole
-share) with the same seed, times back from its end and t_c span to 12
+share) with the same seed, times back from its end and span to 12
 significant digits, as the end dates of one window length on a regular grid
 have, shares one screen: one basis and one X'X per batch of screen points,
 solved for all their log-prices at once (one factorization for many
-right-hand sides). Then the windows with the same number of points are
-fitted in lockstep parts of at most about _BATCH_ROWS basis rows per step,
-each part's rows gathered once into a _Batch and taken through four phases:
+right-hand sides), pre-scored at the share's first r, with the residuals of
+a chunk of windows at a time so that at most about 4 * _BATCH_ROWS exist at
+once, and scored exactly at each window's own r. Then the windows with the
+same number of points are fitted in lockstep parts of at most about
+_BATCH_ROWS basis rows per step, each part's rows gathered once into a
+_Batch and taken through four phases:
 _descend (one kernel call per step scores every live descent's next point),
 _polish, _trend_lines and _assemble (a window's fit is the polish's solve at
 its best end). That kernel, _linear_fit, re-solves only a singular row by
 lstsq and warns of nothing; every row of a batch is bit-identical to a
 one-row call, so a window's fit does not depend on the windows fitted with it.
-The outer search runs in normalized coordinates (t_c mapped to a unit interval
-anchored at the window end), which makes results exactly invariant under
-price scaling and time translation.
+The outer search runs in these coordinates anchored at the window end,
+which makes results exactly invariant under price scaling and time
+translation.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ _PRESCORE_TOL = 1e-3
 _FATOL = 1e-9
 _XATOL = 1e-5
 _POLISH_STEPS = 8
+_POLISH_HALVINGS = 3  # times a refused polish step is halved before it ends the row
 _POLISH_GAIN = 1e-15  # relative sse gain at or below which a polish step ends the row
 
 
@@ -179,11 +193,32 @@ def solve_linear(
     _check_window(series, window)
     if t_c <= window.t2:
         raise DomainError(f"t_c={t_c} must lie beyond the window end {window.t2}")
-    beta, sse = _linear_fit((t_c - window.times(series))[None], window.log_prices(series), m, omega)[:2]
+    # solved in the unit-free d = (t_c - t) / length, as the fits are
+    d = (t_c - window.times(series)) / window.length
+    beta, sse = _linear_fit(d[None], window.log_prices(series), m, omega)[:2]
     if not math.isfinite(sse[0]):
         raise FitError(f"linear solve produced non-finite coefficients at t_c={t_c}")
-    A, B, c1, c2 = beta[0].tolist()
-    return A, B, c1, c2, float(sse[0])
+    p = _params(t_c, m, omega, beta[0], window.length)
+    return p.A, p.B, p.c1, p.c2, float(sse[0])
+
+
+def _params(t_c, m, omega, beta, scale) -> LpplParams:
+    """The parameters of the curve whose coefficients on model._basis at d = (t_c - t) / scale are beta.
+
+    d^m = (t_c - t)^m scale^-m and w ln d = w ln(t_c - t) - w ln scale, so
+    A = beta0 - beta1, B and C scale by scale^-m and (C1, C2) turn by w ln scale.
+    A FitError if B or C overflows or underflows in the series' time unit, as
+    at an m far above 1 there.
+    """
+    b0, b1, b2, b3 = beta.tolist()
+    with np.errstate(all="ignore"):
+        shrink = float(np.power(scale, -m))
+    turn = omega * math.log(scale)
+    cos, sin = math.cos(turn) * shrink, math.sin(turn) * shrink
+    p = LpplParams.from_linear(t_c, m, omega, b0 - b1, b1 * shrink, b2 * cos - b3 * sin, b2 * sin + b3 * cos)
+    if not (shrink > 0 and math.isfinite(p.B) and math.isfinite(p.C)):
+        raise FitError(f"B and C at t_c={t_c}, m={m} overflow or underflow in the series' time unit")
+    return p
 
 
 def _check_window(series: PriceSeries, window: FitWindow) -> None:
@@ -202,13 +237,13 @@ def _solve(A, b):
     return _umath_linalg.solve(A, b, signature="dd->d")
 
 
-def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
-    """Least-squares [A, B, C1, C2] of y on the basis at dt = t_c - t > 0: beta, sse, ln(dt), basis X, residuals.
+def _linear_fit(d: np.ndarray, y: np.ndarray, m, omega):
+    """Least-squares beta of y on model._basis at d > 0: beta, sse, ln(d), basis X, residuals.
 
     The one exact linear solve of calibration: the screen's exact scores,
     the descents, the polish (whose solve is the fit) and solve_linear all
     go through it; only the screen's pre-score solves on its own. A
-    batch of P points passes dt of shape (P, n), with m and omega scalars or
+    batch of P points passes d of shape (P, n), with m and omega scalars or
     (P, 1) columns; y is one window's (n,) log-prices or a (P, n) row per
     point. beta has shape (P, 4) and sse shape (P,). Every row is
     bit-identical to its one-row call: stacked matmul runs the same BLAS
@@ -217,7 +252,7 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
     minimum-norm lstsq. An overflowed basis gets sse inf; nothing warns.
     """
     with np.errstate(all="ignore"):
-        ldt, X = _basis(dt, m, omega)
+        ld, X = _basis(d, m, omega)
         Xt = X.swapaxes(-1, -2)
         G = Xt @ X
         beta = _solve(G, Xt @ y[..., None])[..., 0]
@@ -228,7 +263,7 @@ def _linear_fit(dt: np.ndarray, y: np.ndarray, m, omega):
                 beta[i] = np.linalg.lstsq(X[i], np.broadcast_to(y, X.shape[:-1])[i], rcond=None)[0]
             resid, sse = _residuals(X, y, beta)
             sse = np.where(np.isfinite(sse), sse, math.inf)
-    return beta, sse, ldt, X, resid
+    return beta, sse, ld, X, resid
 
 
 def _residuals(X, y, beta):
@@ -237,44 +272,45 @@ def _residuals(X, y, beta):
     return resid, (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
-def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polish(z, r, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variable-projection Gauss-Newton from each row's point z = (u, m, omega): the polished points, their sse and beta.
 
-    Row i fits y[i] on the basis at dt = u * span[i] + rev[i]. Each step
-    differentiates the basis at the current beta, D = (dX/d(u, m, omega)) beta,
-    takes Kaufman's Jacobian of the projected residual J = -(D - X solve(G, X'D)),
-    G = X'X, and the Gauss-Newton step -solve(J'J, J'r); a coordinate that step
-    would take out of the box is held at its bound and the others solved again,
-    and the trial point is clipped to the box. A row keeps a step only if its
-    sse falls, and stops at the first refused step, at a singular G or J'J,
-    after a relative gain of at most _POLISH_GAIN or after _POLISH_STEPS steps.
-    The sse and beta of a row are those of _linear_fit at its kept point,
-    which is the whole fit there. Stacked matmul and gufunc solves only, so
-    every row is bit-identical to polishing it alone.
+    Row i fits y[i] on the basis at d = u + r[i]. Each step differentiates
+    the basis at the current beta, D = (dX/d(u, m, omega)) beta, takes
+    Kaufman's Jacobian of the projected residual J = -(D - X solve(G, X'D)),
+    G = X'X, and the Gauss-Newton step -solve(J'J, J'r); a coordinate that
+    step would take out of the box is held at its bound and the others solved
+    again, and the trial point is clipped to the box. A row keeps a step only
+    if its sse falls; a step that raises it by more than _POLISH_GAIN
+    relative, or makes it non-finite, is halved up to _POLISH_HALVINGS
+    times, and the row stops when none of them is kept, at a singular G or J'J,
+    after a relative gain of at most _POLISH_GAIN or after _POLISH_STEPS
+    steps. The sse and beta of a row are those of _linear_fit at its kept
+    point, which is the whole fit there. Stacked matmul and gufunc solves
+    only, so every row is bit-identical to polishing it alone.
     """
     z = z.copy()
-    dt = z[:, :1] * span + rev
-    beta, sse, ldt, X, resid = _linear_fit(dt, y, z[:, 1:2], z[:, 2:3])
-    kept = beta.copy()
+    # the kernel's outputs at each row's kept point, updated row by row as steps are kept
+    beta, sse, ld, X, resid = _linear_fit(z[:, :1] + r, y, z[:, 1:2], z[:, 2:3])
     live = np.arange(len(z))
     # every step, its Jacobian included: an overflowed row goes non-finite silently
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_STEPS):
-            zl, spanl = z[live], span[live]
+            zl, bl, Xl = z[live], beta[live], X[live]
             m, omega = zl[:, 1:2], zl[:, 2:3]
-            # the basis columns dt^m, dt^m cos(omega ldt) and dt^m sin(omega ldt)
-            pw, pc, ps = X[..., 1], X[..., 2], X[..., 3]
-            F = beta[:, 1:2] * pw + beta[:, 2:3] * pc + beta[:, 3:4] * ps
-            H = beta[:, 3:4] * pc - beta[:, 2:3] * ps
+            # the basis's d^m, d^m cos(omega ln d) and d^m sin(omega ln d)
+            pw, pc, ps = Xl[..., 1] + 1.0, Xl[..., 2], Xl[..., 3]
+            F = bl[:, 1:2] * pw + bl[:, 2:3] * pc + bl[:, 3:4] * ps
+            H = bl[:, 3:4] * pc - bl[:, 2:3] * ps
             D = np.empty(F.shape + (3,))
-            D[..., 0] = spanl * (m * F + omega * H) / dt
-            D[..., 1] = ldt * F
-            D[..., 2] = ldt * H
-            Xt = X.swapaxes(-1, -2)
+            D[..., 0] = (m * F + omega * H) / (zl[:, :1] + r[live])
+            D[..., 1] = ld[live] * F
+            D[..., 2] = ld[live] * H
+            Xt = Xl.swapaxes(-1, -2)
             # a singular matrix leaves its own row NaN, the others untouched
-            J = X @ _solve(Xt @ X, Xt @ D) - D
+            J = Xl @ _solve(Xt @ Xl, Xt @ D) - D
             Jt = J.swapaxes(-1, -2)
-            JtJ, g = Jt @ J, -(Jt @ resid[..., None])[..., 0]
+            JtJ, g = Jt @ J, -(Jt @ resid[live][..., None])[..., 0]
             full = zl + _solve(JtJ, g[..., None])[..., 0]
             # the rows of J'J for coordinates held at a bound become "move to the bound"
             held = np.clip(full, lo, hi)
@@ -282,64 +318,75 @@ def _polish(z, span, rev, y, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray
             JtJ = np.where(out[:, :, None], np.eye(3), JtJ)
             g = np.where(out, held - zl, g)
             step = _solve(JtJ, g[..., None])[..., 0]
-            ok = np.isfinite(step).all(axis=1)
-            trial = np.clip(zl[ok] + step[ok], lo, hi)
-            rows = live[ok]
-            dt = trial[:, :1] * span[rows] + rev[rows]
-            beta, new, ldt, X, resid = _linear_fit(dt, y[rows], trial[:, 1:2], trial[:, 2:3])
-            old = sse[rows]
-            better = new < old
-            z[rows[better]], sse[rows[better]], kept[rows[better]] = trial[better], new[better], beta[better]
-            go = better & (old - new > _POLISH_GAIN * old)
-            live = rows[go]
+            ok = np.isfinite(step).all(axis=1) & (step != 0).any(axis=1)
+            rows, start, step = live[ok], zl[ok], step[ok]
+            live = rows[:0]
+            for _ in range(1 + _POLISH_HALVINGS):
+                if not rows.size:
+                    break
+                trial = np.clip(start + step, lo, hi)
+                fit = _linear_fit(trial[:, :1] + r[rows], y[rows], trial[:, 1:2], trial[:, 2:3])
+                old, new = sse[rows], fit[1]
+                better = new < old
+                kept = rows[better]
+                z[kept], sse[kept] = trial[better], new[better]
+                beta[kept], ld[kept], X[kept], resid[kept] = (v[better] for v in fit[:1] + fit[2:])
+                live = np.concatenate([live, kept[old[better] - new[better] > _POLISH_GAIN * old[better]]])
+                # a step refused at the optimum, within rounding of its sse, is not tried shorter
+                retry = ~(new - old <= _POLISH_GAIN * old)
+                rows, start, step = rows[retry], start[retry], 0.5 * step[retry]
             if not live.size:
                 break
-            dt, beta, ldt, X, resid = dt[go], beta[go], ldt[go], X[go], resid[go]
-    return z, sse, kept
+    return z, sse, beta
 
 
-def _screen_sse(z, span, rev, y, owner) -> np.ndarray:
-    """Exact sse of screen points z = (u, m, omega), point i on window owner[i] of the spans (W, 1) and log-prices y (W, n).
+def _screen_sse(z, r, y, owner) -> np.ndarray:
+    """Exact sse of screen points z = (u, m, omega), point i on window owner[i] of the rows r and log-prices y (W, n).
 
-    Scored in batches of about _BATCH_ROWS basis rows, each gathering its own points' rows of span and y; every
+    Scored in batches of about _BATCH_ROWS basis rows, each gathering its own points' rows of r and y; every
     sse is that of a one-row _linear_fit call.
     """
     rows = max(1, _BATCH_ROWS // y.shape[-1])
     return np.concatenate([np.empty(0)] + [
-        _linear_fit(z[i:i + rows, :1] * span[own] + rev, y[own], z[i:i + rows, 1:2], z[i:i + rows, 2:3])[1]
+        _linear_fit(z[i:i + rows, :1] + r[own], y[own], z[i:i + rows, 1:2], z[i:i + rows, 2:3])[1]
         for i in range(0, len(z), rows) for own in [owner[i:i + rows]]
     ])
 
 
-def _screen_prescore(z, span, rev, y) -> np.ndarray:
-    """Approximate sse, (points, windows), of screen points z on every row of y, windows that share span and rev.
+def _screen_prescore(z, r, y) -> np.ndarray:
+    """Approximate sse, (points, windows), of screen points z on every row of y, windows that share r.
 
     One basis per batch of points, built with float32 cos and sin
     (model._basis), one X'X and one solve for all the windows' right-hand
-    sides X'Y, and explicit residuals against that basis. A batch holds at
-    most about _BATCH_ROWS basis rows and 4 * _BATCH_ROWS residuals. A
+    sides X'Y, and explicit residuals against that basis, formed for a
+    chunk of windows at a time. A batch holds at most about _BATCH_ROWS
+    basis rows and 4 * _BATCH_ROWS residuals, at least one window's. A
     singular or overflowed X'X leaves its point's sse NaN in every window.
     """
-    rows = max(1, min(_BATCH_ROWS, 4 * _BATCH_ROWS // len(y)) // y.shape[1])
+    n = y.shape[1]
+    cols = max(1, 4 * _BATCH_ROWS // n)  # windows whose residuals one point may hold at once
+    rows = max(1, min(_BATCH_ROWS, 4 * _BATCH_ROWS // min(len(y), cols)) // n)
     pre = np.empty((len(z), len(y)))
     with np.errstate(all="ignore"):
         for i in range(0, len(z), rows):
             part = z[i:i + rows]
-            X = _basis(part[:, :1] * span + rev, part[:, 1:2], part[:, 2:3], trig32=True)[1]
+            X = _basis(part[:, :1] + r, part[:, 1:2], part[:, 2:3], trig32=True)[1]
             Xt = X.swapaxes(-1, -2)
-            resid = X @ _solve(Xt @ X, Xt @ y.T)
-            np.subtract(y.T, resid, out=resid)
-            resid *= resid
-            pre[i:i + rows] = resid.sum(axis=1)
+            beta = _solve(Xt @ X, Xt @ y.T)
+            for j in range(0, len(y), cols):
+                resid = X @ beta[..., j:j + cols]
+                np.subtract(y[j:j + cols].T, resid, out=resid)
+                resid *= resid
+                pre[i:i + rows, j:j + cols] = resid.sum(axis=1)
     return pre
 
 
-def _screen_best(z, span, rev, y, scale) -> np.ndarray:
+def _screen_best(z, r, y, scale) -> np.ndarray:
     """Per row of y, the indices of the _DESCENTS screen points of least exact sse / scale, ties to the lower index.
 
-    The rows, a list, are windows with equal rev and spans (W, 1) equal to 12
-    significant digits, so they share the screen's basis: the pre-score is
-    taken at the first span, every exact sse at the window's own. Two stages.
+    The rows, a list, are windows whose rows of r, a list, are equal but for
+    their last bits, so they share the screen's basis: the pre-score is
+    taken at the first r, every exact sse at the window's own. Two stages.
     The pre-score (_screen_prescore) ranks every point for every window; each
     window's leaders, the points within a relative _PRESCORE_TOL margin of its
     second-best pre-score, are scored again exactly, all windows' in one batch,
@@ -354,19 +401,19 @@ def _screen_best(z, span, rev, y, scale) -> np.ndarray:
     width = max(1, _SHARED_CELLS // max(len(z), y[0].shape[-1]))
     best = np.empty((len(y), _DESCENTS), dtype=np.intp)
     for c in range(0, len(y), width):
-        block, block_span, block_scale = np.stack(y[c:c + width]), span[c:c + width], scale[c:c + width]
-        pre = _screen_prescore(z, span[0], rev, block)
+        block, block_r, block_scale = np.stack(y[c:c + width]), np.stack(r[c:c + width]), scale[c:c + width]
+        pre = _screen_prescore(z, r[0], block)
         second = np.partition(pre, _DESCENTS - 1, axis=0)[_DESCENTS - 1]
         # every window's leaders, window by window, each window's in index order
         owner, lead = np.nonzero((pre <= second * (1 + _PRESCORE_TOL) / (1 - _PRESCORE_TOL)).T)
-        exact = _screen_sse(z[lead], block_span, rev, block, owner)
+        exact = _screen_sse(z[lead], block_r, block, owner)
         held = np.isfinite(exact) & (np.abs(exact - pre[lead, owner]) <= _PRESCORE_TOL * exact)
         for w, col in enumerate(pre.T):
             own = owner == w
             if np.isfinite(col).all() and held[own].all():
                 points, sse = lead[own], exact[own]
             else:  # the guard tripped: this window's whole screen, scored exactly
-                points, sse = np.arange(len(z)), _screen_sse(z, block_span, rev, block, np.full(len(z), w))
+                points, sse = np.arange(len(z)), _screen_sse(z, block_r, block, np.full(len(z), w))
             best[c + w] = points[np.argsort(sse / block_scale[w], kind="stable")[:_DESCENTS]]
     return best
 
@@ -599,25 +646,27 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
     its own all-exact screen, and every result is bit-identical to fit_window
     on its own window.
     """
-    # normalized coordinates: z = (u, m, omega), t_c = t2 + u * span
+    # normalized coordinates z = (u, m, omega); every kernel call sees only d = u + r
     lo = np.array([_TC_MARGIN, filters.m_range[0], filters.omega_range[0]])
     hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
-    span = np.array([[filters.tc_horizon * w.length] for w in windows])
     y = [w.log_prices(series) for w in windows]
     # scale-invariant normalization so fatol means relative sse
     scale = np.array([v * len(row) if (v := float(np.var(row))) > 0 else 1.0 for row in y])
 
-    # one screen per seed, rev, the time back from the window end (invariant under shifting all timestamps, so
-    # the search path is translation-exact), and span to 12 digits: t2 - (t2 - L) may differ from L in its last bit
+    # one screen per seed, times back from the window end (invariant under shifting all timestamps, so the
+    # search path is translation-exact) and span to 12 digits: t2 - (t2 - L) may differ from L in its last bit
     shared: dict[tuple, list[int]] = {}
+    r = []
     for i, (w, seed) in enumerate(zip(windows, seeds)):
-        shared.setdefault((int(seed), f"{span[i, 0]:.12g}", (w.t2 - w.times(series)).tobytes()), []).append(i)
+        back, span = w.t2 - w.times(series), filters.tc_horizon * w.length
+        r.append(back / span)
+        shared.setdefault((int(seed), f"{span:.12g}", back.tobytes()), []).append(i)
     best = np.empty((len(windows), _DESCENTS), dtype=np.intp)
     first = np.empty((len(windows), _DESCENTS, 3))
     groups: dict[int, list[int]] = {}  # the windows of each n_points, which descend in lockstep
-    for (seed, _, grid), ws in shared.items():
+    for (seed, *_), ws in shared.items():
         screen = lo + _latin_hypercube(_SCREEN_PER_START * config.n_starts, 3, seed) * (hi - lo)
-        best[ws] = _screen_best(screen, span[ws], np.frombuffer(grid), [y[i] for i in ws], scale[ws])
+        best[ws] = _screen_best(screen, [r[i] for i in ws], [y[i] for i in ws], scale[ws])
         first[ws] = screen[best[ws]]
         groups.setdefault(windows[ws[0]].n_points, []).extend(ws)
 
@@ -626,14 +675,13 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
         size = max(1, _BATCH_ROWS // (_DESCENTS * n))
         for part in (idx[i:i + size] for i in range(0, len(idx), size)):
             ws = [windows[i] for i in part]
-            times = np.stack([w.times(series) for w in ws])
-            batch = _Batch(span[part], scale[part], times, np.array([[w.t2] for w in ws]) - times,
+            batch = _Batch(scale[part], np.stack([w.times(series) for w in ws]), np.stack([r[i] for i in part]),
                            np.stack([y[i] for i in part]))
             ends = _descend(batch, first[part], lo, hi, config.max_iter)
             # every descent end, Gauss-Newton polished in one batch; the polish's
             # solve at its point is that descent's fit, and a failed end keeps sse inf
             own = np.repeat(np.arange(len(part)), _DESCENTS)
-            polished = _polish(np.array([end[0] for end in ends]), batch.span[own], batch.rev[own], batch.y[own], lo, hi)
+            polished = _polish(np.array([end[0] for end in ends]), batch.r[own], batch.y[own], lo, hi)
             for i, fit in zip(part, _assemble(ws, batch, best[part], ends, polished, _trend_lines(batch), filters)):
                 fits[i] = fit
     return fits
@@ -641,12 +689,11 @@ def _fit_windows(series, windows, config, filters, seeds) -> list[FitResult | Fi
 
 @dataclass(frozen=True, slots=True)
 class _Batch:
-    """The rows of W windows with equal n_points: t_c span (W, 1), sse scale (W,), and times, rev and y (W, n)."""
+    """The rows of W windows with equal n_points: sse scale (W,), and times, r and y (W, n)."""
 
-    span: np.ndarray
     scale: np.ndarray
     times: np.ndarray
-    rev: np.ndarray  # times back from the window end, t2 - times
+    r: np.ndarray  # times back from the window end, in units of tc_horizon * length
     y: np.ndarray  # log-prices
 
 
@@ -662,11 +709,11 @@ def _descend(batch, first, lo, hi, max_iter) -> list:
     while live:
         # the live descents' window rows, gathered again only when a descent ends
         own = np.array(live) // _DESCENTS
-        span, rev, y, scale = batch.span[own], batch.rev[own], batch.y[own], batch.scale[own]
+        r, y, scale = batch.r[own], batch.y[own], batch.scale[own]
         ended = False
         while not ended:
             z = np.array([points[i] for i in live])
-            sse = _linear_fit(z[:, :1] * span + rev, y, z[:, 1:2], z[:, 2:3])[1]
+            sse = _linear_fit(z[:, :1] + r, y, z[:, 1:2], z[:, 2:3])[1]
             for i, f in zip(live, (sse / scale).tolist()):
                 try:
                     points[i] = descents[i].send(f)
@@ -679,7 +726,7 @@ def _descend(batch, first, lo, hi, max_iter) -> list:
 def _trend_lines(batch) -> np.ndarray:
     """Each window's least-squares trend line sse, on the basis [1, x] with x = (t - t_first) / (t_last - t_first).
 
-    x spans [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones).
+    x runs over [0, 1] at any time unit (polyfit's scaling of t - t_first overflows or underflows at extreme ones).
     """
     with np.errstate(all="ignore"):
         tt = batch.times
@@ -690,7 +737,9 @@ def _trend_lines(batch) -> np.ndarray:
 
 
 def _assemble(windows, batch, best, ends, polished, sse_line, filters) -> list:
-    """Per window, its qualified fit at its polished descent end of least scaled sse, or a FitError if none is finite.
+    """Per window, its qualified fit at its polished descent end of least scaled sse, or a FitError.
+
+    The FitError stands in when no end's sse is finite, or when _params cannot state the fit in the series' time unit.
 
     ends, polished (_polish's z, sse and beta) and best, the screen indices (W, _DESCENTS), follow _descend's order.
     """
@@ -707,8 +756,12 @@ def _assemble(windows, batch, best, ends, polished, sse_line, filters) -> list:
         # argmin keeps the first of equal scaled sse, the descent from the better screen point
         k = own.start + int(np.argmin(f[own]))
         u, m, omega = z[k].tolist()
-        A, B, c1, c2 = beta[k].tolist()
-        params = LpplParams.from_linear(window.t2 + u * float(batch.span[w, 0]), m, omega, A, B, c1, c2)
+        span = filters.tc_horizon * window.length
+        try:
+            params = _params(window.t2 + u * span, m, omega, beta[k], span)
+        except FitError as error:
+            fits.append(error)
+            continue
         fit = FitResult(
             params=params,
             window=window,
@@ -716,7 +769,7 @@ def _assemble(windows, batch, best, ends, polished, sse_line, filters) -> list:
             rmse=math.sqrt(sse[k] / window.n_points),
             n_points=window.n_points,
             qualified=False,
-            sign=sign_of(B),
+            sign=sign_of(params.B),
             sse_line=float(sse_line[w]),
         )
         fits.append(qualify(fit, filters))

@@ -71,30 +71,39 @@ def lppl_basis(t_c: float, m: float, omega: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t >= t_c):
         raise DomainError(f"basis undefined at or beyond critical time t_c={t_c}")
-    return _basis(t_c - t, m, omega)[1]
+    X = _basis(t_c - t, m, omega)[1]
+    X[..., 1] += 1.0
+    return X
 
 
-def _basis(dt, m, omega, trig32=False):
-    """ln(dt) and the basis at dt = tc - t > 0 along a new last axis: the one place its columns are built.
+def _basis(d, m, omega, trig32=False):
+    """ln(d) and the basis [1, d^m - 1, d^m cos(w ln d), d^m sin(w ln d)] at d > 0 along a new last axis: the one place its columns are built.
 
+    The power column is expm1(m ln d), and the trig columns take d^m as that
+    column + 1. With the constant column it spans the space of d^m, so the
+    coefficients [A + B, B, C1, C2] fit the same curve as lppl_basis's
+    [A, B, C1, C2]; unlike d^m it keeps its variation as m goes to 0, where
+    the normal equations of [1, d^m] lose it (Bjorck, "Numerical Methods for
+    Least Squares Problems", 1996).
     trig32 takes cos and sin of the angle, reduced to [-pi, pi] in double
     precision, in float32, which numpy runs as SIMD kernels, several times
-    faster than its double ones; every other column and ln(dt) stay double.
+    faster than its double ones; every other column and ln(d) stay double.
     That basis is an approximation, only for ranking points that the exact
     basis then scores again.
     """
-    ldt = np.log(dt)
-    pw = np.exp(m * ldt)
-    angle = omega * ldt
+    ld = np.log(d)
+    angle = omega * ld
     if trig32:
         angle -= TWO_PI * np.rint(angle / TWO_PI)
         angle = angle.astype(np.float32)
-    X = np.empty(pw.shape + (4,))
+    X = np.empty(ld.shape + (4,))
     X[..., 0] = 1.0
+    pw = np.expm1(m * ld)
     X[..., 1] = pw
+    pw += 1.0
     X[..., 2] = pw * np.cos(angle)
     X[..., 3] = pw * np.sin(angle)
-    return ldt, X
+    return ld, X
 
 
 def scaling_ratio(omega: float) -> float:

@@ -139,42 +139,43 @@ class TestLinearFit:
         tt = np.arange(float(n))
         y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
         t2, tc_span = tt[-1], 0.5 * (n - 1)
-        beta, sse = (v[0] for v in _linear_fit((u * tc_span + (t2 - tt))[None], y, m, omega)[:2])
+        beta, sse, _, Xd, _ = (v[0] for v in _linear_fit(u + (t2 - tt)[None] / tc_span, y, m, omega))
         X = lppl_basis(t2 + u * tc_span, m, omega, tt)
         ref, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
         resid = y - X @ ref
         assert sse == pytest.approx(float(resid @ resid), rel=1e-10)
-        # normal equations lose up to cond(X^T X) * eps * |y|, about 1.6e-7 here
-        np.testing.assert_allclose(X @ beta, X @ ref, rtol=0, atol=1e-7)
+        # the fitted curves; normal equations lose up to cond(X^T X) * eps * |y|, about 1.6e-7 here
+        np.testing.assert_allclose(Xd @ beta, X @ ref, rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("n", [30, 200, 750])
     def test_batched_rows_match_single_calls(self, n):
         rng = np.random.default_rng(n)
         tt = np.arange(float(n))
         y = 4.0 + 0.3 * np.sin(tt / 7.0) + 0.02 * np.cumsum(rng.normal(size=n))
-        rev, tc_span = tt[-1] - tt, 0.5 * (n - 1)
+        r = (tt[-1] - tt) / (0.5 * (n - 1))
         filters = FilterConfig()
         lo = np.array([1e-6, filters.m_range[0], filters.omega_range[0]])
         hi = np.array([1.0, filters.m_range[1], filters.omega_range[1]])
         z = lo + _latin_hypercube(37, 3, n) * (hi - lo)
         z[3, 1] = 0.0  # m = 0: the constant and power-law columns coincide, X^T X is singular
         z[6, 2] = np.inf  # a non-finite basis, in the singular row's batch
-        singles = [[v[0] for v in _linear_fit((u * tc_span + rev)[None], y, m, omega)[:2]] for u, m, omega in z]
+        singles = [[v[0] for v in _linear_fit((u + r)[None], y, m, omega)[:2]] for u, m, omega in z]
         assert math.isfinite(singles[3][1]) and singles[6][1] == math.inf
         # the one-row call keeps plain 2-D BLAS arithmetic: normal equations and r @ r
         for (u, m, omega), (b1, s1) in zip(z, singles):
             if m == 0.0 or omega == np.inf:
                 continue
-            ldt = np.log(u * tc_span + rev)
-            pw = np.exp(m * ldt)
-            X = np.column_stack([np.ones(n), pw, pw * np.cos(omega * ldt), pw * np.sin(omega * ldt)])
+            ld = np.log(u + r)
+            pw1 = np.expm1(m * ld)
+            pw = pw1 + 1.0
+            X = np.column_stack([np.ones(n), pw1, pw * np.cos(omega * ld), pw * np.sin(omega * ld)])
             ref = np.linalg.solve(X.T @ X, X.T @ y)
             resid = y - X @ ref
             assert np.array_equal(b1, ref) and s1 == float(resid @ resid)
         # batches of 10 leave a last batch of 7; the first holds the singular and the overflowed row
         for start in range(0, len(z), 10):
             rows = z[start:start + 10]
-            beta, sse, _, X, _ = _linear_fit(rows[:, :1] * tc_span + rev, y, rows[:, 1:2], rows[:, 2:3])
+            beta, sse, _, X, _ = _linear_fit(rows[:, :1] + r, y, rows[:, 1:2], rows[:, 2:3])
             assert beta.shape == (len(rows), 4) and sse.shape == (len(rows),)
             for k, (b1, s1) in enumerate(singles[start:start + 10]):
                 assert np.array_equal(beta[k], b1, equal_nan=True)
@@ -184,18 +185,34 @@ class TestLinearFit:
                 assert np.array_equal(beta[3], np.linalg.lstsq(X[3], y, rcond=None)[0])
                 assert np.isnan(beta[6]).all() and sse[6] == math.inf
 
+    @pytest.mark.parametrize("n", [40, 200, 750])
+    def test_sse_matches_lstsq_at_the_box_corners(self, n):
+        # the corners of the box with m_range from 1e-5, where d^m is nearly the constant column,
+        # so that normal equations on [1, d^m] would lose the sse; the expm1 column keeps it
+        rng = np.random.default_rng(n)
+        tt = np.arange(float(n))
+        r = (tt[-1] - tt) / (0.5 * (n - 1))
+        corners = np.array(np.meshgrid([1e-6, 1.0], [1e-5, 1e-4, 0.99], [2.0, 15.0])).reshape(3, -1).T
+        for noise in (1e-2, 1e-4):
+            y = 4.0 + 0.3 * np.sin(tt / 7.0) + noise * np.cumsum(rng.normal(size=n))
+            sse, X = (_linear_fit(corners[:, :1] + r, y, corners[:, 1:2], corners[:, 2:3])[i] for i in (1, 3))
+            for k in range(len(corners)):
+                resid = y - X[k] @ np.linalg.lstsq(X[k], y, rcond=None)[0]
+                assert sse[k] == pytest.approx(float(resid @ resid), rel=1e-8), corners[k]
+
     def test_basis_is_lppl_basis(self):
-        # the kernel and lppl_basis build the basis in one place: the same bits
+        # the kernel and lppl_basis build the basis in one place: the same bits, but for
+        # lppl_basis's power column, the kernel's expm1 column + 1
         tt = np.arange(300.0)
         y = np.zeros_like(tt)
         for t_c, m, omega in [(300.0, 0.5, 6.28), (310.5, 0.01, 2.0), (449.0, 0.99, 15.0), (300.25, 0.37, 9.1)]:
-            X = _linear_fit((t_c - tt)[None], y, m, omega)[3][0]
+            X = _linear_fit((t_c - tt)[None], y, m, omega)[3][0] + [0.0, 1.0, 0.0, 0.0]
             assert np.array_equal(X, lppl_basis(t_c, m, omega, tt))
             assert np.array_equal(X[17], lppl_basis(t_c, m, omega, tt[17]))
 
     @pytest.mark.parametrize("n", [30, 200, 750])
     def test_rows_with_their_own_y_match_single_calls(self, n):
-        # each row on its own window: its own log-prices, time origin and t_c span
+        # each row on its own window: its own log-prices, time origin and t_c span, as d = u + rev / span
         rng = np.random.default_rng(n + 1)
         P = 23
         tt = np.arange(float(n))
@@ -204,11 +221,11 @@ class TestLinearFit:
         tc_span = rng.uniform(0.2, 0.8, size=(P, 1)) * (n - 1)
         z = np.column_stack([rng.uniform(1e-6, 1.0, P), rng.uniform(0.01, 0.99, P), rng.uniform(2.0, 15.0, P)])
         z[5, 1] = 0.0  # m = 0: a singular row, which the kernel re-solves on its own
-        dt = z[:, :1] * tc_span + rev
-        singles = [[v[0] for v in _linear_fit(d[None], yi, m, omega)[:2]] for d, yi, (_, m, omega) in zip(dt, y, z)]
+        d = z[:, :1] + rev / tc_span
+        singles = [[v[0] for v in _linear_fit(di[None], yi, m, omega)[:2]] for di, yi, (_, m, omega) in zip(d, y, z)]
         assert math.isfinite(singles[5][1])
         for rows in (slice(0, P), slice(6, P)):  # with and without the singular row
-            beta, sse = _linear_fit(dt[rows], y[rows], z[rows, 1:2], z[rows, 2:3])[:2]
+            beta, sse = _linear_fit(d[rows], y[rows], z[rows, 1:2], z[rows, 2:3])[:2]
             assert beta.shape == (len(z[rows]), 4) and sse.shape == (len(z[rows]),)
             for k, (b1, s1) in enumerate(singles[rows]):
                 assert np.array_equal(beta[k], b1) and sse[k] == s1
@@ -259,8 +276,8 @@ def lppl_objective(n=80, seed=0):
     s = lppl_series(noise=0.01, seed=seed, n=n)
     w = full_window(s)
     y = w.log_prices(s)
-    rev, tc_span, scale = w.t2 - w.times(s), 0.5 * w.length, float(np.var(y)) * n
-    return lambda z: _linear_fit(z[..., :1] * tc_span + rev, y, z[..., 1:2], z[..., 2:3])[1] / scale
+    r, scale = (w.t2 - w.times(s)) / (0.5 * w.length), float(np.var(y)) * n
+    return lambda z: _linear_fit(z[..., :1] + r, y, z[..., 1:2], z[..., 2:3])[1] / scale
 
 
 class TestSimplex:
@@ -391,10 +408,9 @@ class TestSimplex:
 
 
 def polish_rows(series, windows, tc_horizon=0.5):
-    """_polish's row inputs for each window: its t_c span, times back from its end and log-prices."""
-    span = np.array([[tc_horizon * w.length] for w in windows])
-    rev = np.stack([w.t2 - w.times(series) for w in windows])
-    return span, rev, np.stack([w.log_prices(series) for w in windows])
+    """_polish's row inputs for each window: its times back from its end in units of its t_c span, and log-prices."""
+    r = np.stack([(w.t2 - w.times(series)) / (tc_horizon * w.length) for w in windows])
+    return r, np.stack([w.log_prices(series) for w in windows])
 
 
 class TestPolish:
@@ -411,11 +427,11 @@ class TestPolish:
         for n, seed in ((60, 1), (150, 3), (210, 5)):
             s = lppl_series(noise=0.01, seed=seed, n=n)
             z = np.array(self.descent_ends(n, seed, starts, self.LO, self.HI))
-            span, rev, y = polish_rows(s, [full_window(s)] * len(z))
-            before = _linear_fit(z[:, :1] * span + rev, y, z[:, 1:2], z[:, 2:3])[1]
-            polished, sse, beta = _polish(z, span, rev, y, self.LO, self.HI)
+            r, y = polish_rows(s, [full_window(s)] * len(z))
+            before = _linear_fit(z[:, :1] + r, y, z[:, 1:2], z[:, 2:3])[1]
+            polished, sse, beta = _polish(z, r, y, self.LO, self.HI)
             # the returned sse and beta are the solve at the kept point, bit for bit
-            at = _linear_fit(polished[:, :1] * span + rev, y, polished[:, 1:2], polished[:, 2:3])
+            at = _linear_fit(polished[:, :1] + r, y, polished[:, 1:2], polished[:, 2:3])
             assert np.array_equal(sse, at[1]) and np.array_equal(beta, at[0])
             assert (sse <= before).all()
             assert ((self.LO <= polished) & (polished <= self.HI)).all()
@@ -436,6 +452,23 @@ class TestPolish:
         assert fit.params.m in m_range and fit.failures == ("m_in_range",)
         assert w.t2 < fit.params.t_c <= w.t2 + 0.5 * w.length and 2.0 <= fit.params.omega <= 15.0
 
+    def test_refused_step_is_halved(self, monkeypatch):
+        # a window of a noisy exponential (criterion 5's series 1010, its 110-point window at its
+        # seed there) whose descents end next to the (m, omega) corner (0.99, 15): the full
+        # Gauss-Newton step from there is refused, and only a shorter one leaves the corner
+        from lpplscan.model import GrowthSpec
+
+        spec = SynthSpec(regime=GrowthSpec(kind="exponential", rate=0.002, p0=10.0), t_start=0, t_end=199,
+                         step=1.0, noise_sigma=0.02, seed=1010)
+        s = generate(spec).series
+        w = slice_window(s, 89.0, 199.0)
+        search = SearchConfig(n_starts=6, max_iter=250)
+        halved = fit_window(s, w, search, seed=407456023)
+        monkeypatch.setattr(calibration, "_POLISH_HALVINGS", 0)
+        whole = fit_window(s, w, search, seed=407456023)
+        assert (whole.params.m, whole.params.omega) == (0.99, 15.0)
+        assert halved.sse < (1 - 1e-3) * whole.sse and halved.params.omega < 15.0
+
     def test_singular_row_stops_only_itself(self):
         # log-prices of exactly 0 give beta = 0, so D = 0 and J'J = 0: that
         # window's polish stops at once, the other windows' polish goes on
@@ -452,18 +485,18 @@ class TestPolish:
             assert repr(fit) == repr(fit_window(s, window, FAST, seed=windows.index(window) + 1))
 
     def test_overflowed_row_keeps_sse_inf(self):
-        # at m = 1000 the basis overflows wherever dt > 2, so that row's sse is
+        # at m = 1000 the basis overflows wherever d > 2.03, so that row's sse is
         # inf from the start; the polish takes it without a numpy warning, and
         # the regular row beside it polishes as it does alone
         s = lppl_series(noise=0.01, seed=1, n=150)
         w = full_window(s)
         lo, hi = np.array([1e-6, 0.01, 2.0]), np.array([1.0, 1001.0, 15.0])
         z = np.array([[0.3, 0.5, 6.0], [0.3, 1000.0, 6.0]])
-        span, rev, y = polish_rows(s, [w, w])
+        r, y = polish_rows(s, [w, w])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = _polish(z, span, rev, y, lo, hi)
-            solo = _polish(z[:1], span[:1], rev[:1], y[:1], lo, hi)
+            batch = _polish(z, r, y, lo, hi)
+            solo = _polish(z[:1], r[:1], y[:1], lo, hi)
         assert batch[1][1] == math.inf and np.array_equal(batch[0][1], z[1])
         assert not np.array_equal(batch[0][0], z[0])
         for rows, row in zip(batch, solo):
@@ -782,6 +815,35 @@ class TestFitWindow:
             repr(fit_window(s, w, search, seed=seed)) for w, seed in zip(windows, seeds)
         ]
 
+    def test_fit_does_not_depend_on_the_time_unit(self):
+        # one noisy exponential path on grids whose step runs from 1e-300 to 1e200: every fit solves in
+        # d = (t_c - t) / span, so the fit and its verdicts are the same at each step
+        from lpplscan.model import GrowthSpec
+
+        fits = []
+        for step in (1e-300, 1e-3, 1.0, 1e150, 1e200):
+            spec = SynthSpec(regime=GrowthSpec(kind="exponential", rate=0.002 / step, p0=10.0),
+                             t_start=0, t_end=199 * step, step=step, noise_sigma=0.01, seed=2)
+            s = generate(spec).series
+            w = full_window(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_window(s, w, SearchConfig(n_starts=6, max_iter=250), seed=4)
+            u = (fit.params.t_c - w.t2) / (0.5 * w.length)
+            fits.append(([u, fit.params.m, fit.params.omega, fit.sse], fit.checks))
+        for values, checks in fits[1:]:
+            assert values == pytest.approx(fits[0][0], rel=1e-9)
+            assert checks == fits[0][1]
+
+    def test_coefficients_out_of_range_in_the_time_unit_fail(self):
+        # at m near 200 the unit-free basis is finite, but B and C scale by span^-m = 100^-200,
+        # which underflows: the fit cannot be stated in days, so it is a FitError, not B = C = 0
+        s = lppl_series(noise=0.01, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="underflow in the series' time unit"):
+                fit_window(s, full_window(s), SearchConfig(n_starts=2, max_iter=50), FilterConfig(m_range=(200.0, 201.0)))
+
     def test_far_window_end_fits_without_warnings(self):
         # at t2 = 1e308 the polish's Jacobian overflows; the fit takes that silently
         s = lppl_series(noise=0.01, seed=5, n=120)
@@ -800,12 +862,15 @@ class TestFitWindow:
                 fit_window(s, window, SearchConfig(n_starts=1, max_iter=20), FilterConfig(m_range=(1000.0, 1001.0)))
 
     def test_fit_windows_returns_each_failure_in_place(self):
-        # with m of at least 1000 every basis row of a window longer than about
-        # 2 time units overflows, so all its descents fail; shorter ones fit
-        s = PriceSeries(np.arange(500) * 0.01, np.exp(np.linspace(1.0, 2.0, 500)))
+        # with m of at least 1000, X'X overflows wherever d = u + r > 1.43, so every row of a
+        # window whose first point lies at its start (d = u + 2 there) overflows and all its
+        # descents fail; a window whose first point lies after a gap in the series, 0.3 before
+        # its end, has d <= u + 0.6 and fits
+        times = np.concatenate([np.arange(300), np.arange(370, 500)]) * 0.01
+        s = PriceSeries(times, np.exp(np.linspace(1.0, 2.0, len(times))))
         filters = FilterConfig(m_range=(1000.0, 1001.0))
         search = SearchConfig(n_starts=1, max_iter=20)
-        ok, fail_a, fail_b = (slice_window(s, t2 - length, t2) for t2, length in ((4.0, 0.3), (4.0, 3.0), (4.5, 3.0)))
+        ok, fail_a, fail_b = (slice_window(s, t2 - length, t2) for t2, length in ((4.0, 1.0), (4.0, 3.0), (4.5, 3.0)))
         for order in ([ok, fail_a, fail_b], [fail_b, ok, fail_a]):
             grouped = _fit_windows(s, order, search, filters, [0, 0, 0])
             for window, fit in zip(order, grouped):
@@ -821,10 +886,10 @@ class TestFitWindow:
 
 class TestTwoStageScreen:
     @staticmethod
-    def exact_starts(z, span, rev, y, scale):
+    def exact_starts(z, r, y, scale):
         # the exact kernel over every screen point, in chunks (each row is its one-row call), then a stable argsort
         sse = np.concatenate([
-            _linear_fit(c[:, :1] * span + rev, y, c[:, 1:2], c[:, 2:3])[1] for c in np.array_split(z, len(z) // 50)
+            _linear_fit(c[:, :1] + r, y, c[:, 1:2], c[:, 2:3])[1] for c in np.array_split(z, len(z) // 50)
         ])
         return np.argsort(sse / scale, kind="stable")[:2]
 
@@ -844,26 +909,26 @@ class TestTwoStageScreen:
         def owner(row):
             return next(w for w in share if np.array_equal(w["y"], row))
 
-        def spy_prescore(z, span, rev, y):
-            pre = prescore(z, span, rev, y) * prescore_factor
+        def spy_prescore(z, r, y):
+            pre = prescore(z, r, y) * prescore_factor
             for row, col in zip(y, pre.T):
                 w = owner(row)
                 w["calls"].append((True, len(z)))
                 w["prescore_starts"] = np.argsort(col, kind="stable")[:2].tolist()
             return pre
 
-        def spy_sse(z, span, rev, y, at):
+        def spy_sse(z, r, y, at):
             rows = [owner(y[i]) for i in at]
             for w in {id(w): w for w in rows}.values():
-                w["calls"].append((False, sum(r is w for r in rows)))
-            return screen_sse(z, span, rev, y, at)
+                w["calls"].append((False, sum(row is w for row in rows)))
+            return screen_sse(z, r, y, at)
 
-        def spy_best(z, span, rev, y, scale):
+        def spy_best(z, r, y, scale):
             share[:] = [{"calls": [], "points": len(z), "y": row, "share_size": len(y)} for row in y]
             windows.extend(share)
-            best = screen_best(z, span, rev, y, scale)
-            for w, starts, row, row_span, row_scale in zip(share, best, y, span, scale):
-                w["starts"] = (starts.tolist(), TestTwoStageScreen.exact_starts(z, row_span, rev, row, row_scale).tolist())
+            best = screen_best(z, r, y, scale)
+            for w, starts, row, row_r, row_scale in zip(share, best, y, r, scale):
+                w["starts"] = (starts.tolist(), TestTwoStageScreen.exact_starts(z, row_r, row, row_scale).tolist())
             return best
 
         monkeypatch.setattr(calibration, "_screen_prescore", spy_prescore)
@@ -938,12 +1003,12 @@ class TestTwoStageScreen:
         # the box's corners with m from 1e-5, then a Latin hypercube inside it; the
         # guard checks only the leaders, so an error past this bound must show here
         s = lppl_series(noise=noise, seed=n, n=n, params=replace(TRUE, t_c=n + 40.0))
-        rev, span = s.times[-1] - s.times, 0.5 * (s.t_end - s.t_start)
+        r = (s.times[-1] - s.times) / (0.5 * (s.t_end - s.t_start))
         lo, hi = np.array([1e-6, 1e-5, 2.0]), np.array([1.0, 0.99, 15.0])
         corners = np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T
         z = np.vstack([corners, lo + _latin_hypercube(500, 3, n) * (hi - lo)])
-        exact = _linear_fit(z[:, :1] * span + rev, s.log_prices, z[:, 1:2], z[:, 2:3])[1]
-        pre = calibration._screen_prescore(z, span, rev, s.log_prices[None])[:, 0]
+        exact = _linear_fit(z[:, :1] + r, s.log_prices, z[:, 1:2], z[:, 2:3])[1]
+        pre = calibration._screen_prescore(z, r, s.log_prices[None])[:, 0]
         assert np.isfinite(exact).all()
         assert (np.abs(pre - exact) <= calibration._PRESCORE_TOL / 10 * exact).all()
 
@@ -965,12 +1030,12 @@ class TestSharedScreen:
 
     @staticmethod
     def spy_shares(monkeypatch, off=None):
-        """Record each pre-score call's (span, rev bytes, rows); `off` scales one row's pre-score by 1 + 2 tol."""
+        """Record each pre-score call's (r bytes, rows); `off` scales one row's pre-score by 1 + 2 tol."""
         prescore, calls = calibration._screen_prescore, []
 
-        def spy(z, span, rev, y):
-            pre = prescore(z, span, rev, y)
-            calls.append((float(span[0]), rev.tobytes(), y))
+        def spy(z, r, y):
+            pre = prescore(z, r, y)
+            calls.append((r.tobytes(), y))
             for j, row in enumerate(y):
                 if off is not None and np.array_equal(row, off):
                     pre[:, j] *= 1 + 2 * calibration._PRESCORE_TOL
@@ -991,13 +1056,14 @@ class TestSharedScreen:
             assert len(expected) == 3
         else:  # some windows of one length and n lie on different grids, so they may not share
             assert len(expected) > len({(w.length, w.n_points) for w in windows})
+        # a share is pre-scored at its first window's times back from the end, in units of its t_c span
+        expected = {((ws[0].t2 - ws[0].times(s)) / (0.5 * ws[0].length)).tobytes(): ws for ws in expected.values()}
         calls = self.spy_shares(monkeypatch)
         grouped = _fit_windows(s, windows, FAST, FilterConfig(), seeds)
-        assert sorted((span, rev, len(y)) for span, rev, y in calls) == sorted(
-            (span, rev, len(share)) for (span, rev), share in expected.items())
-        assert max(len(y) for _, _, y in calls) > 1
-        for span, rev, y in calls:  # a share's rows are its windows' log-prices
-            assert np.array_equal(y, [w.log_prices(s) for w in expected[span, rev]])
+        assert sorted((r, len(y)) for r, y in calls) == sorted((r, len(share)) for r, share in expected.items())
+        assert max(len(y) for _, y in calls) > 1
+        for r, y in calls:  # a share's rows are its windows' log-prices
+            assert np.array_equal(y, [w.log_prices(s) for w in expected[r]])
         monkeypatch.undo()
         assert [repr(f) for f in grouped] == [
             repr(fit_window(s, w, FAST, seed=seed)) for w, seed in zip(windows, seeds)
@@ -1013,7 +1079,7 @@ class TestSharedScreen:
         assert calibration._BATCH_ROWS // (2 * 700) == 2
         calls = self.spy_shares(monkeypatch)
         grouped = _fit_windows(s, windows, search, FilterConfig(), [5] * len(windows))
-        assert len(calls) == 1 and np.array_equal(calls[0][2], [w.log_prices(s) for w in windows])
+        assert len(calls) == 1 and np.array_equal(calls[0][1], [w.log_prices(s) for w in windows])
         monkeypatch.undo()
         assert [repr(f) for f in grouped] == [repr(fit_window(s, w, search, seed=5)) for w in windows]
 
@@ -1035,10 +1101,10 @@ class TestSharedScreen:
         self.spy_shares(monkeypatch, off)
         screen_sse, full = calibration._screen_sse, []
 
-        def spy_sse(z, span, rev, y, at):
+        def spy_sse(z, r, y, at):
             if (at == at[0]).all():  # only a fallback scores one window's whole screen
                 full.append(y[at[0]])
-            return screen_sse(z, span, rev, y, at)
+            return screen_sse(z, r, y, at)
 
         monkeypatch.setattr(calibration, "_screen_sse", spy_sse)
         assert [repr(f) for f in _fit_windows(s, windows, FAST, FilterConfig(), seeds)] == expected
@@ -1057,6 +1123,26 @@ class TestSharedScreen:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_prescore_residuals_stay_bounded(self):
+        import tracemalloc
+
+        # one block of 218 windows of 601 points, as _SHARED_CELLS makes it: at most 4 * _BATCH_ROWS
+        # residuals (131 kB) at once, where one point's residuals in every window would take 1.05 MB
+        n, width = 601, calibration._SHARED_CELLS // 601
+        assert width == 218
+        y = 4.0 + 0.01 * np.random.default_rng(3).normal(size=(width, n))
+        r = np.arange(n - 1, -1, -1.0) / (0.5 * (n - 1))
+        lo, hi = np.array([1e-6, 0.01, 2.0]), np.array([1.0, 0.99, 15.0])
+        z = lo + _latin_hypercube(50, 3, 1) * (hi - lo)
+        tracemalloc.start()
+        try:
+            pre = calibration._screen_prescore(z, r, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pre.shape == (50, width) and np.isfinite(pre).all()
+        assert peak < 5e5
 
     def test_exact_stage_holds_no_copy_per_leader(self):
         import tracemalloc
@@ -1089,9 +1175,9 @@ class TestSharedScreen:
         search = SearchConfig(n_starts=1, max_iter=20)
         screen_best, shares = calibration._screen_best, []
 
-        def spy(z, span, rev, y, scale):
+        def spy(z, r, y, scale):
             shares.append(len(y))
-            return screen_best(z, span, rev, y, scale)
+            return screen_best(z, r, y, scale)
 
         monkeypatch.setattr(calibration, "_screen_best", spy)
         grouped = _fit_windows(s, windows, search, FilterConfig(), seeds)

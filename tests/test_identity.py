@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "identity.py"
 SECTIONS = [
     "ladder m_range from 0.01", "ladder m_range from 1e-05", "backtest grid n_jobs=1", "backtest grid n_jobs=2",
-    "weekday calendar", "n_starts=1", "n_starts=200", "cli synth", "cli fit", "cli scan jobs=1", "cli scan jobs=2",
+    "weekday calendar", "n_starts=1", "n_starts=200", "grid steps 1e-300 to 1e200", "cli synth", "cli fit", "cli scan jobs=1", "cli scan jobs=2",
 ]
 
 

@@ -187,13 +187,16 @@ class TestScanGrid:
         assert serial.fits == scan(weekdays, replace(base, n_jobs=3)).fits
 
     def test_pooled_failure_matches_serial(self):
-        # with m of at least 1000 every basis row of a window longer than about
-        # 2 time units overflows, so all its descents fail; 0.3-unit windows fit.
-        # In grid order the first failure is the 2.5-unit window at the first
-        # date that has one; the pool starts with the 3.0-unit group, the largest n
-        s = PriceSeries(np.arange(501) * 0.01, np.exp(np.linspace(1.0, 2.0, 501)))
+        # bursts of 40 points 0.01 apart, one every 10 time units, each end date a burst's last
+        # point. With m of at least 1000, X'X overflows wherever d = u + r > 1.43: every row of
+        # a 25- or 32-unit window, whose first point lies 20.39 or 30.39 before its end
+        # (r = 1.63 or 1.90 there), overflows, so all its descents fail; 3-unit windows hold
+        # one burst (r <= 0.26) and fit. In grid order the first failure is the 25-unit window
+        # at the first date that has one; the pool starts with the 32-unit group, the largest n
+        times = (10.0 * np.arange(8)[:, None] + 0.01 * np.arange(40)).ravel()
+        s = PriceSeries(times, np.exp(np.linspace(1.0, 2.0, len(times))))
         cfg = ScanConfig(
-            window_lengths=(0.3, 2.5, 3.0), end_every=25, search=SearchConfig(n_starts=1, max_iter=20),
+            window_lengths=(3.0, 25.0, 32.0), end_every=40, search=SearchConfig(n_starts=1, max_iter=20),
             filters=FilterConfig(m_range=(1000.0, 1001.0)), seed=1,
         )
         errors = []
@@ -201,8 +204,8 @@ class TestScanGrid:
             with pytest.raises(FitError) as exc:
                 scan(s, replace(cfg, n_jobs=jobs))
             errors.append((str(exc.value), exc.value.diagnostics))
-        first = min(t2 for t2 in s.times[::-25] if t2 - 2.5 >= 0)
-        assert errors[0][0] == f"every descent failed to produce a finite fit on [{first - 2.5}, {first}]"
+        first = min(t2 for t2 in s.times[::-40] if t2 - 25.0 >= 0)
+        assert errors[0][0] == f"every descent failed to produce a finite fit on [{first - 25.0}, {first}]"
         assert errors[1] == errors[0]
 
     def test_pool_is_capped_at_cpus_and_windows(self, monkeypatch):

@@ -18,6 +18,9 @@ machine can be compared. The corpus:
 - the benchmark's backtest grid, at n_jobs 1 and 2;
 - a weekday calendar, whose time grids differ between end dates;
 - single windows at n_starts 1 and 200;
+- one seeded window of a noisy exponential at grid steps 1e-300, 1e-3, 1,
+  1e150 and 1e200, which a fit that does not depend on the time unit fits
+  alike at every step;
 - the bytes of CLI `synth`, `fit` and `scan`, the last at --jobs 1 and 2.
 
 `--tiny` runs a corpus of the same sections that takes a few seconds.
@@ -123,6 +126,13 @@ def corpus(tiny: bool) -> dict:
         out[f"n_starts={starts}"] = _fits([
             L.fit_window(single, L.slice_window(single, t2 - length, t2), search, seed=3)
             for length in ((60.0,) if tiny else (60.0, 120.0, 180.0)) for t2 in (199.0, 150.0)])
+    fits = []
+    for step in (1e-300, 1e-3, 1.0, 1e150, 1e200):
+        path = L.generate(L.SynthSpec(regime=L.GrowthSpec(kind="exponential", rate=0.002 / step, p0=10.0), t_start=0,
+                                      t_end=199 * step, step=step, noise_sigma=0.01, seed=2)).series
+        fits.append(L.fit_window(path, L.slice_window(path, 0, 199 * step), small if tiny else L.SearchConfig(6, 250),
+                                 seed=4))
+    out["grid steps 1e-300 to 1e200"] = _fits(fits)
 
     with tempfile.TemporaryDirectory() as tmp:
         out.update(_cli(Path(tmp), tiny))
